@@ -9,6 +9,7 @@ from .costmodel import (
     speedup_report,
 )
 from .embedding import (
+    Bags,
     EmbeddingTable,
     ShardedEmbedding,
     SparseBatch,

@@ -1,4 +1,4 @@
-"""Embedding tables, sharding, batch generation, and pooled lookup.
+"""Embedding tables, sharding, jagged index bags, batch generation, and lookup.
 
 Tables double as features: feature k reads table k. Values are kept in
 float64; the integer-valued initialization mode makes exchange results
@@ -7,10 +7,12 @@ exactly comparable (sums of small integers are exact in float64).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DomainError, PlanError, ShapeError, TableLookupError
 from .topology import ClusterTopology, TowerLayout
@@ -61,28 +63,85 @@ def init_table_deterministic(
     return EmbeddingTable(table_id, rows, dim, values)
 
 
-def lookup(values: np.ndarray, bags: Sequence[Sequence[int]], pooling: str) -> np.ndarray:
+class Bags:
+    """Jagged index bags in the layout of TorchRec's KeyedJaggedTensor.
+
+    ``lengths[i]`` is the size of bag i and ``values`` holds every bag's
+    indices back to back, so bag i is ``values[offsets[i]:offsets[i + 1]]``.
+    Both are int64; only ``values`` counts toward wire bytes.
+    """
+
+    __slots__ = ("lengths", "values", "offsets")
+
+    def __init__(self, lengths, values):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.int64)
+        if self.lengths.ndim != 1 or self.values.ndim != 1:
+            raise ShapeError("bag lengths and values must be 1-d")
+        self.offsets = np.zeros(self.lengths.size + 1, dtype=np.int64)
+        np.cumsum(self.lengths, out=self.offsets[1:])
+        if np.any(self.lengths < 0) or self.offsets[-1] != self.values.size:
+            raise ShapeError(
+                f"bag lengths sum to {self.offsets[-1]} but there are "
+                f"{self.values.size} values"
+            )
+
+    @classmethod
+    def from_lists(cls, bags: Sequence[Sequence[int]]) -> "Bags":
+        lengths = [len(bag) for bag in bags]
+        return cls(lengths, np.fromiter(itertools.chain.from_iterable(bags), np.int64))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Bags"]) -> "Bags":
+        return cls(
+            np.concatenate([p.lengths for p in parts]),
+            np.concatenate([p.values for p in parts]),
+        )
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.values[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Bags):
+            return NotImplemented
+        return np.array_equal(self.lengths, other.lengths) and np.array_equal(
+            self.values, other.values
+        )
+
+    __hash__ = None
+
+
+def lookup(values: np.ndarray, bags: Bags, pooling: str) -> np.ndarray:
     """Per-bag row select (pooling none) or row sum (pooling sum).
 
     Empty bags are only legal with sum pooling, where they produce zeros.
     """
     if pooling not in (POOL_NONE, POOL_SUM):
         raise DomainError(f"unknown pooling {pooling!r}")
-    rows, width = values.shape
-    out = np.zeros((len(bags), width), dtype=np.float64)
-    for i, bag in enumerate(bags):
-        for idx in bag:
-            if not 0 <= idx < rows:
-                raise TableLookupError(f"index {idx} out of range 0..{rows - 1}")
-        if pooling == POOL_NONE:
-            if len(bag) != 1:
-                raise TableLookupError(
-                    f"pooling=none requires bags of length 1, bag {i} has {len(bag)}"
-                )
-            out[i] = values[bag[0]]
-        elif bag:
-            out[i] = values[list(bag)].sum(axis=0)
-    return out
+    rows = values.shape[0]
+    idx = bags.values
+    bad = idx[(idx < 0) | (idx >= rows)]
+    if bad.size:
+        raise TableLookupError(f"index {bad[0]} out of range 0..{rows - 1}")
+    if pooling == POOL_NONE:
+        wrong = np.flatnonzero(bags.lengths != 1)
+        if wrong.size:
+            i = wrong[0]
+            raise TableLookupError(
+                f"pooling=none requires bags of length 1, bag {i} has {bags.lengths[i]}"
+            )
+        return values[idx]
+    # Segment sum as a (bags x rows) CSR count matrix times the table: each
+    # bag's rows are added in bag order without gathering them first, and
+    # empty bags are empty CSR rows, hence zeros.
+    counts = csr_matrix(
+        (np.ones(idx.size), idx, bags.offsets), shape=(len(bags), rows)
+    )
+    return counts @ values
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -146,20 +205,11 @@ class ShardedEmbedding:
             raise PlanError(f"table {table_id} has no shards")
         return found
 
-    def shards_on(self, rank: int) -> list[Shard]:
-        return [s for s in self.shards if s.rank == rank]
-
     def shard_values(self, shard: Shard) -> np.ndarray:
         table = self.tables[shard.table_id]
         r0, r1 = shard.row_range
         c0, c1 = shard.col_range
         return table.values[r0:r1, c0:c1]
-
-    def tower_of_table(self, table_id: int, layout: TowerLayout, topo: ClusterTopology) -> int:
-        towers = {layout.tower_of_rank(s.rank, topo) for s in self.shards_of(table_id)}
-        if len(towers) != 1:
-            raise PlanError(f"table {table_id} shards span towers {sorted(towers)}")
-        return towers.pop()
 
     def validate_tiling(self) -> None:
         """Every (row, col) cell of every table is covered exactly once."""
@@ -216,12 +266,12 @@ def shard_tables(
 class SparseBatch:
     """Per-rank, per-feature index bags with a uniform local batch size.
 
-    ``bags[rank][feature]`` is a list of local_batch bags; ``pooling[feature]``
-    is "none" for single-hot features and "sum" for multi-hot ones, uniform
+    ``bags[rank][feature]`` holds local_batch bags; ``pooling[feature]`` is
+    "none" for single-hot features and "sum" for multi-hot ones, uniform
     across the whole batch.
     """
 
-    bags: list[dict[int, list[list[int]]]]
+    bags: list[dict[int, Bags]]
     local_batch: int
     pooling: dict[int, str]
 
@@ -243,17 +293,19 @@ class SparseBatch:
                         f"rank {rank} feature {feat} has {len(bags)} bags, "
                         f"expected {self.local_batch}"
                     )
-                rows = tables[feat].rows
-                for bag in bags:
-                    if self.pooling[feat] == POOL_NONE and len(bag) != 1:
+                if self.pooling[feat] == POOL_NONE:
+                    wrong = bags.lengths[bags.lengths != 1]
+                    if wrong.size:
                         raise DomainError(
-                            f"single-hot feature {feat} has a bag of length {len(bag)}"
+                            f"single-hot feature {feat} has a bag of length {wrong[0]}"
                         )
-                    for idx in bag:
-                        if not 0 <= idx < rows:
-                            raise TableLookupError(
-                                f"feature {feat} index {idx} out of range 0..{rows - 1}"
-                            )
+                rows = tables[feat].rows
+                idx = bags.values
+                bad = idx[(idx < 0) | (idx >= rows)]
+                if bad.size:
+                    raise TableLookupError(
+                        f"feature {feat} index {bad[0]} out of range 0..{rows - 1}"
+                    )
 
 
 def make_batch(
@@ -266,7 +318,9 @@ def make_batch(
     """Generate a deterministic batch.
 
     ``hotness[feature]`` is 1 for single-hot or a (lo, hi) inclusive range of
-    bag lengths for multi-hot (lo may be 0; multi-hot bags sum-pool).
+    bag lengths for multi-hot (lo may be 0; multi-hot bags sum-pool). Each
+    feature draws all ranks' bag lengths in one call and all their indices
+    in a second; every rank gets views into those arrays.
     """
     if local_batch < 1:
         raise DomainError("local_batch must be >= 1")
@@ -274,22 +328,22 @@ def make_batch(
     pooling = {}
     for feat, spec in hotness.items():
         pooling[feat] = POOL_NONE if spec == 1 else POOL_SUM
-    bags: list[dict[int, list[list[int]]]] = []
-    for _rank in range(topo.world_size):
-        per_feature: dict[int, list[list[int]]] = {}
-        for feat in sorted(tables):
-            spec = hotness[feat]
-            rows = tables[feat].rows
-            feature_bags = []
-            for _ in range(local_batch):
-                if spec == 1:
-                    length = 1
-                else:
-                    lo, hi = spec
-                    length = int(rng.integers(lo, hi + 1))
-                feature_bags.append([int(i) for i in rng.integers(0, rows, size=length)])
-            per_feature[feat] = feature_bags
-        bags.append(per_feature)
+    world = topo.world_size
+    bags: list[dict[int, Bags]] = [{} for _ in range(world)]
+    for feat in sorted(tables):
+        spec = hotness[feat]
+        if spec == 1:
+            lengths = np.ones(world * local_batch, dtype=np.int64)
+        else:
+            lo, hi = spec
+            lengths = rng.integers(lo, hi + 1, size=world * local_batch)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        values = rng.integers(0, tables[feat].rows, size=int(offsets[-1]))
+        for rank in range(world):
+            first, last = rank * local_batch, (rank + 1) * local_batch
+            bags[rank][feat] = Bags(
+                lengths[first:last], values[offsets[first]:offsets[last]]
+            )
     batch = SparseBatch(bags, local_batch, pooling)
     batch.validate(tables)
     return batch

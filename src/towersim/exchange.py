@@ -26,13 +26,14 @@ import numpy as np
 from .embedding import (
     POOL_SUM,
     ROW_WISE,
+    Bags,
     ShardedEmbedding,
     SparseBatch,
     lookup,
 )
 from .errors import DomainError, LayoutError, PlanError
 from .simnet import CommTrace, Tagged, all_to_all, reduce_scatter
-from .topology import ClusterTopology, TowerLayout, class_members
+from .topology import ClusterTopology, TowerLayout, class_members, class_order
 from .towermod import (
     PASSTHROUGH,
     TMConfig,
@@ -109,7 +110,7 @@ class ExchangeResult:
     flops: dict[str, float] = field(default_factory=dict)
 
 
-def _combine_pieces(pieces: list[tuple], scheme_hint: Optional[str] = None) -> np.ndarray:
+def _combine_pieces(pieces: list[tuple]) -> np.ndarray:
     """Assemble one feature from (shard, matrix) pieces.
 
     Column/table shards concatenate in column order; row shards sum.
@@ -130,19 +131,22 @@ def _combine_pieces(pieces: list[tuple], scheme_hint: Optional[str] = None) -> n
 def _shard_lookup(
     placement: ShardedEmbedding,
     shard,
-    bags: Sequence[Sequence[int]],
+    bags: Bags,
     pooling: str,
 ) -> tuple[np.ndarray, float]:
-    """Partial lookup of one shard for one source rank's bags, plus flops."""
+    """Partial lookup of one shard over a run of bags, plus flops."""
     values = placement.shard_values(shard)
     if shard.scheme == ROW_WISE:
         r0, r1 = shard.row_range
-        local = [[i - r0 for i in bag if r0 <= i < r1] for bag in bags]
+        keep = (bags.values >= r0) & (bags.values < r1)
+        bag_of = np.repeat(np.arange(len(bags)), bags.lengths)
+        bags = Bags(
+            np.bincount(bag_of[keep], minlength=len(bags)), bags.values[keep] - r0
+        )
         # Partials always sum-combine across row shards, so pool with sum;
         # out-of-range singles become zero rows that vanish in the sum.
-        flops = sum(len(b) for b in local) * shard.width
-        return lookup(values, local, POOL_SUM), float(flops)
-    flops = sum(len(b) for b in bags) * shard.width
+        pooling = POOL_SUM
+    flops = bags.values.size * shard.width
     return lookup(values, bags, pooling), float(flops)
 
 
@@ -157,7 +161,8 @@ def _distribute_and_lookup(
 
     Returns (blocks, lookup_flops): blocks[owner][shard_index] is a list of
     (batch, width) arrays ordered by ``dest_seq`` (rank order when None), and
-    lookup_flops maps rank to its lookup work.
+    lookup_flops maps rank to its lookup work. Each owner looks a shard up
+    once, over the bags of every source in that order.
     """
     world = list(range(topo.world_size))
     # Placement may cover more tables than the batch references; only the
@@ -181,18 +186,18 @@ def _distribute_and_lookup(
     order = list(dest_seq) if dest_seq is not None else world
     blocks: dict[int, dict[int, list[np.ndarray]]] = {}
     lookup_flops = {o: 0.0 for o in world}
+    size = batch.local_batch
     for owner in world:
-        per_shard: dict[int, list[np.ndarray]] = {sid: [] for sid, _ in by_owner[owner]}
-        for src in order:
-            bundle = received[owner][src]
-            for tagged in bundle:
-                sid = tagged.tag
-                shard = placement.shards[sid]
-                mat, flops = _shard_lookup(
-                    placement, shard, tagged.data, batch.pooling[shard.table_id]
-                )
-                per_shard[sid].append(mat)
-                lookup_flops[owner] += flops
+        # Every source sends the owner's shards in the same order.
+        per_source = [[tagged.data for tagged in received[owner][src]] for src in order]
+        per_shard: dict[int, list[np.ndarray]] = {}
+        for k, (sid, shard) in enumerate(by_owner[owner]):
+            parts = [bundle[k] for bundle in per_source]
+            mat, flops = _shard_lookup(
+                placement, shard, Bags.concat(parts), batch.pooling[shard.table_id]
+            )
+            per_shard[sid] = [mat[i * size:(i + 1) * size] for i in range(len(order))]
+            lookup_flops[owner] += flops
         blocks[owner] = per_shard
     return blocks, lookup_flops
 
@@ -316,9 +321,7 @@ def tower_exchange(
 
     # Destination blocks in class order: all class-0 ranks (tower ascending),
     # then class-1, ... Chunk c of size num_towers is exactly peer class c.
-    dest_seq = [
-        t * width + c for c in range(width) for t in range(num_towers)
-    ]
+    dest_seq = class_order(topo, layout)
     dest_pos = {rank: i for i, rank in enumerate(dest_seq)}
 
     if opts.swap_bc:

@@ -12,6 +12,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .embedding import Bags
 from .errors import DomainError, ProtocolError, ShapeError
 from .topology import CROSS_HOST, INTRA_HOST, ClusterTopology, link_class
 
@@ -28,8 +29,9 @@ class Tagged(NamedTuple):
 def payload_nbytes(payload) -> int:
     """Wire size of a payload: 4 bytes per array element or index.
 
-    Accepts arrays, ints, (nested) lists/tuples of those, Tagged wrappers
-    (tag is metadata, free), and None (empty).
+    Accepts arrays, index bags (their lengths are free metadata), (nested)
+    lists/tuples of those, Tagged wrappers (tag is metadata, free), and None
+    (empty).
     """
     if payload is None:
         return 0
@@ -37,8 +39,8 @@ def payload_nbytes(payload) -> int:
         return payload_nbytes(payload.data)
     if isinstance(payload, np.ndarray):
         return int(payload.size) * BYTES_PER_ELEMENT
-    if isinstance(payload, (int, np.integer)):
-        return BYTES_PER_ELEMENT
+    if isinstance(payload, Bags):
+        return int(payload.values.size) * BYTES_PER_ELEMENT
     if isinstance(payload, (list, tuple)):
         return sum(payload_nbytes(item) for item in payload)
     raise ProtocolError(f"cannot size payload of type {type(payload).__name__}")

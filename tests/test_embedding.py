@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towersim.embedding import (
     COLUMN_WISE,
     ROW_WISE,
     TABLE_WISE,
+    Bags,
+    EmbeddingTable,
+    Shard,
+    ShardedEmbedding,
     TablePlan,
     init_table_deterministic,
     load_table_csv,
@@ -13,40 +19,43 @@ from towersim.embedding import (
     shard_tables,
     split_ranges,
 )
-from towersim.errors import DomainError, PlanError, TableLookupError
+from towersim.errors import DomainError, PlanError, ShapeError, TableLookupError
+from towersim.exchange import _shard_lookup
 from towersim.topology import ClusterTopology, TowerLayout
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_lookup_row_select():
     table = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(lookup(table, [[1]], "none"), [[3.0, 4.0]])
+    assert np.array_equal(lookup(table, Bags.from_lists([[1]]), "none"), [[3.0, 4.0]])
 
 
 def test_lookup_sum_pooling():
     table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(lookup(table, [[0, 2]], "sum"), [[6.0, 8.0]])
+    assert np.array_equal(lookup(table, Bags.from_lists([[0, 2]]), "sum"), [[6.0, 8.0]])
 
 
 def test_lookup_empty_bag_sums_to_zero():
     table = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(lookup(table, [[]], "sum"), [[0.0, 0.0]])
+    assert np.array_equal(lookup(table, Bags.from_lists([[]]), "sum"), [[0.0, 0.0]])
 
 
 def test_lookup_errors():
     table = np.array([[1.0, 2.0]])
     with pytest.raises(TableLookupError):
-        lookup(table, [[1]], "none")
+        lookup(table, Bags.from_lists([[1]]), "none")
     with pytest.raises(TableLookupError):
-        lookup(table, [[]], "none")
+        lookup(table, Bags.from_lists([[]]), "none")
     with pytest.raises(TableLookupError):
-        lookup(table, [[0, 0]], "none")
+        lookup(table, Bags.from_lists([[0, 0]]), "none")
     with pytest.raises(DomainError):
-        lookup(table, [[0]], "mean")
+        lookup(table, Bags.from_lists([[0]]), "mean")
 
 
 def test_sum_over_singletons_equals_none(rng):
     table = rng.normal(size=(6, 3))
-    bags = [[int(rng.integers(6))] for _ in range(5)]
+    bags = Bags.from_lists([[int(rng.integers(6))] for _ in range(5)])
     assert np.array_equal(lookup(table, bags, "sum"), lookup(table, bags, "none"))
 
 
@@ -135,7 +144,7 @@ def test_column_shards_concatenate_to_whole_lookup(rng):
     # Concatenating per-shard lookups over column ranges equals the
     # whole-table lookup.
     table = rng.normal(size=(9, 7))
-    bags = [[int(rng.integers(9))] for _ in range(4)]
+    bags = Bags.from_lists([[int(rng.integers(9))] for _ in range(4)])
     whole = lookup(table, bags, "none")
     parts = [lookup(table[:, c0:c1], bags, "none") for c0, c1 in split_ranges(7, 3)]
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
@@ -146,11 +155,11 @@ def test_row_shards_partial_pools_sum_to_whole_lookup(rng):
     # pools (bags filtered to the shard's rows) sum to the full pooled lookup.
     table = rng.integers(0, 50, size=(12, 5)).astype(float)
     bags = [list(rng.integers(0, 12, size=int(rng.integers(0, 5)))) for _ in range(6)]
-    whole = lookup(table, bags, "sum")
+    whole = lookup(table, Bags.from_lists(bags), "sum")
     total = np.zeros_like(whole)
     for r0, r1 in split_ranges(12, 4):
         filtered = [[i - r0 for i in bag if r0 <= i < r1] for bag in bags]
-        total += lookup(table[r0:r1], filtered, "sum")
+        total += lookup(table[r0:r1], Bags.from_lists(filtered), "sum")
     assert np.array_equal(total, whole)
 
 
@@ -173,3 +182,126 @@ def test_load_table_csv(tmp_path):
     table = load_table_csv(path, 7)
     assert table.table_id == 7
     assert np.array_equal(table.values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_bags_layout_and_iteration():
+    bags = Bags.from_lists([[3, 1], [], [2]])
+    assert bags.lengths.tolist() == [2, 0, 1]
+    assert bags.values.tolist() == [3, 1, 2]
+    assert bags.offsets.tolist() == [0, 2, 2, 3]
+    assert len(bags) == 3
+    assert [bag.tolist() for bag in bags] == [[3, 1], [], [2]]
+    assert bags == Bags([2, 0, 1], [3, 1, 2])
+    assert bags != Bags([1, 1, 1], [3, 1, 2])
+    assert Bags.concat([bags, Bags.from_lists([[0]])]) == Bags.from_lists([[3, 1], [], [2], [0]])
+    assert len(Bags.from_lists([])) == 0
+    with pytest.raises(ShapeError):
+        Bags([2, 2], [0, 1, 2])
+    with pytest.raises(ShapeError):
+        Bags([-1, 2], [0])
+
+
+def reference_lookup(table, bags, pooling):
+    """Row select or bag-order row sum, one Python float at a time."""
+    out = []
+    for bag in bags:
+        if pooling == "none":
+            out.append([float(x) for x in table[bag[0]]])
+        else:
+            row = [0.0] * table.shape[1]
+            for i in bag:
+                row = [acc + float(x) for acc, x in zip(row, table[i])]
+            out.append(row)
+    return np.array(out, dtype=np.float64).reshape(len(bags), table.shape[1])
+
+
+@st.composite
+def tables_and_bags(draw, single_hot=False):
+    rows = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-50, 50), min_size=rows * width, max_size=rows * width))
+    table = np.array(cells, dtype=np.float64).reshape(rows, width)
+    index = st.integers(0, rows - 1)
+    if single_hot:
+        bags = [[i] for i in draw(st.lists(index, max_size=8))]
+    else:
+        # max_len 0 gives an all-empty batch.
+        max_len = draw(st.integers(0, 6))
+        bags = draw(st.lists(st.lists(index, max_size=max_len), max_size=8))
+    return table, bags
+
+
+@PROPERTY
+@given(tables_and_bags())
+def test_lookup_sum_matches_reference(case):
+    table, bags = case
+    assert np.array_equal(lookup(table, Bags.from_lists(bags), "sum"),
+                          reference_lookup(table, bags, "sum"))
+
+
+@PROPERTY
+@given(tables_and_bags(single_hot=True))
+def test_lookup_none_matches_reference(case):
+    table, bags = case
+    got = lookup(table, Bags.from_lists(bags), "none")
+    assert np.array_equal(got, reference_lookup(table, bags, "none"))
+    assert np.array_equal(got, lookup(table, Bags.from_lists(bags), "sum"))
+
+
+@PROPERTY
+@given(tables_and_bags(), st.integers(1, 4), st.booleans())
+def test_row_shard_lookup_matches_reference(case, parts, single_hot):
+    table, bags = case
+    rows, width = table.shape
+    parts = min(parts, rows)
+    if single_hot:
+        bags = [bag[:1] for bag in bags if bag]
+    pooling = "none" if single_hot else "sum"
+    placement = ShardedEmbedding(
+        {0: EmbeddingTable(0, rows, width, table)},
+        [Shard(0, rank, ROW_WISE, rr, (0, width))
+         for rank, rr in enumerate(split_ranges(rows, parts))],
+    )
+    total = np.zeros((len(bags), width))
+    for shard in placement.shards:
+        r0, r1 = shard.row_range
+        local = [[i - r0 for i in bag if r0 <= i < r1] for bag in bags]
+        got, flops = _shard_lookup(placement, shard, Bags.from_lists(bags), pooling)
+        assert np.array_equal(got, reference_lookup(table[r0:r1], local, "sum"))
+        assert flops == sum(len(bag) for bag in local) * width
+        total += got
+    assert np.array_equal(total, reference_lookup(table, bags, "sum"))
+
+
+@PROPERTY
+@given(tables_and_bags(), st.booleans(), st.sampled_from(["none", "sum"]))
+def test_lookup_rejects_out_of_range_index(case, below, pooling):
+    table, bags = case
+    bad = -1 if below else table.shape[0]
+    with pytest.raises(TableLookupError):
+        lookup(table, Bags.from_lists(bags + [[bad]]), pooling)
+
+
+def test_make_batch_lengths_span_hotness_range():
+    topo = ClusterTopology(num_hosts=2, ranks_per_host=4)
+    tables = {t: init_table_deterministic(t, 50, 2, integer=True) for t in range(3)}
+    hot = {0: 1, 1: (0, 5), 2: (3, 7)}
+    batch = make_batch(topo, tables, 64, hot, seed=11)
+    for feat, (lo, hi) in ((1, (0, 5)), (2, (3, 7))):
+        lengths = np.concatenate([batch.bags[r][feat].lengths for r in range(topo.world_size)])
+        assert lengths.size == topo.world_size * 64
+        assert lengths.min() == lo and lengths.max() == hi
+    for rank in range(topo.world_size):
+        assert batch.bags[rank][0].lengths.tolist() == [1] * 64
+        for feat, table in tables.items():
+            values = batch.bags[rank][feat].values
+            assert values.size == 0 or (values.min() >= 0 and values.max() < table.rows)
+
+
+def test_make_batch_seed_changes_draw():
+    topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
+    tables = four_tables()
+    hot = {0: 1, 1: (0, 4), 2: (1, 3), 3: 1}
+    a = make_batch(topo, tables, 5, hot, seed=3)
+    assert make_batch(topo, tables, 5, hot, seed=3) == a
+    assert make_batch(topo, tables, 5, hot, seed=4) != a

@@ -290,3 +290,23 @@ def test_trace_determinism_across_runs():
     assert a[-1].trace.entries == b[-1].trace.entries
     for rank in a[-1].outputs:
         assert np.array_equal(a[-1].outputs[rank], b[-1].outputs[rank])
+
+
+def test_step_a_bytes_are_four_per_delivered_index():
+    # Multi-hot row-wise tables with 2 shards each: every source sends each
+    # owner its whole bag of every feature the owner holds a shard of.
+    topo, _, _, batch, placement, _, base, _ = run_both(
+        num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4, rows=10,
+        hotness=(0, 6), sharding="row_wise", shards_per_table=2, local_batch=3,
+    )
+    assert all(len(placement.shards_of(t)) == 2 for t in range(4))
+    step_a = {(e.src, e.dst): e.nbytes for e in base.trace.entries if e.label == "a"}
+    assert len(step_a) == topo.world_size ** 2
+    for (src, dst), nbytes in step_a.items():
+        delivered = sum(
+            len(bag)
+            for shard in placement.shards
+            if shard.rank == dst
+            for bag in batch.bags[src][shard.table_id]
+        )
+        assert nbytes == 4 * delivered

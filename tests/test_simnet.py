@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from towersim.embedding import Bags
 from towersim.errors import DomainError, ProtocolError, ShapeError
 from towersim.simnet import (
     CommTrace,
@@ -18,7 +19,7 @@ def two_host_topo(per_host=2):
 
 def test_payload_sizes():
     assert payload_nbytes(np.zeros((3, 2))) == 24
-    assert payload_nbytes([[0, 1], [2]]) == 12
+    assert payload_nbytes(Bags.from_lists([[0, 1], [2]])) == 12
     assert payload_nbytes(Tagged("meta", np.zeros(2))) == 8
     assert payload_nbytes(None) == 0
     assert payload_nbytes([]) == 0
