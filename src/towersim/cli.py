@@ -59,10 +59,6 @@ DEFAULT_CONFIG: dict = {
     "topology": {
         "num_hosts": 2,
         "ranks_per_host": 2,
-        "scaleup_bw": 450e9,
-        "scaleout_bw": 50e9,
-        "scaleup_latency": 2e-6,
-        "scaleout_latency": 1e-5,
     },
     "layout": {
         "hosts_per_tower": 1,
@@ -98,8 +94,7 @@ DEFAULT_CONFIG: dict = {
         "num_towers": 2,
         "balance": 1.0,
         "embed_dims": 2,
-        "steps": 5000,
-        "lr": 1e-2,
+        "steps": 5000,  # SMACOF iteration cap
         "seed": None,
     },
     "cost": {
@@ -158,10 +153,6 @@ def build_topology(cfg: dict) -> ClusterTopology:
     return ClusterTopology(
         num_hosts=int(t["num_hosts"]),
         ranks_per_host=int(t["ranks_per_host"]),
-        scaleup_bw=float(t["scaleup_bw"]),
-        scaleout_bw=float(t["scaleout_bw"]),
-        scaleup_latency=float(t["scaleup_latency"]),
-        scaleout_latency=float(t["scaleout_latency"]),
     )
 
 
@@ -580,6 +571,7 @@ def read_assignment(path) -> dict[int, int]:
 
 def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
     p = cfg["partitioner"]
+    _require(int(p["steps"]) >= 1, "partitioner.steps", "must be >= 1")
     features = read_embeddings(embeddings_path)
     num_towers = int(p["num_towers"])
     _require(features.shape[0] >= num_towers, "partitioner.num_towers",
@@ -594,11 +586,7 @@ def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
     dist = partitioner.distance_from_affinity(affinity, p["strategy"])
     seed = _block_seed(cfg, "partitioner", 4)
     embedded = partitioner.mds_embed(
-        dist,
-        n_dims=int(p["embed_dims"]),
-        steps=int(p["steps"]),
-        lr=float(p["lr"]),
-        seed=seed,
+        dist, n_dims=int(p["embed_dims"]), steps=int(p["steps"])
     )
     assignment = partitioner.constrained_kmeans(
         embedded.coords, num_towers, float(p["balance"]), seed=seed

@@ -11,6 +11,7 @@ they use disjoint links under full-bisection networks.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,20 +40,30 @@ def default_efficiency(max_world: int = 4096, flat_until: int = 8, decay: float 
 @dataclass(frozen=True)
 class CostParams:
     """Link and compute rates; bandwidth defaults follow current-generation
-    accelerator hosts (450 GB/s scale-up, 400 Gbps scale-out)."""
+    accelerator hosts (450 GB/s scale-up, 400 Gbps scale-out).
+
+    Latencies (alpha) are seconds, bandwidths (beta) bytes/second. The
+    scale-up (intra-host) link is expected to be at least as fast as the
+    scale-out link; a slower scale-up link is unusual but legal, so it only
+    warns.
+    """
 
     alpha_up: float = 2e-6
     alpha_out: float = 1e-5
     beta_up: float = 450e9
     beta_out: float = 50e9
     compute_rate: float = 989e12
-    bytes_per_element: int = 4
     efficiency: dict[int, float] = field(default_factory=default_efficiency)
 
     def __post_init__(self) -> None:
         for name in ("alpha_up", "alpha_out", "beta_up", "beta_out", "compute_rate"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
+        if self.beta_up < self.beta_out:
+            warnings.warn(
+                "scale-up bandwidth below scale-out bandwidth; unusual cluster",
+                stacklevel=3,
+            )
         worlds = sorted(self.efficiency)
         if not worlds:
             raise DomainError("efficiency table is empty")

@@ -3,8 +3,8 @@
 The pipeline turns feature embeddings into an affinity matrix (absolute
 cosine similarity), converts it to distances under the diverse (f(I)=I) or
 coherent (f(I)=1-I) strategy, embeds features in a low-dimensional Euclidean
-space by minimizing squared stress with an adaptive-moment optimizer, and
-partitions the coordinates with a balance-constrained k-means whose
+space by minimizing squared stress with SMACOF from a classical-MDS start,
+and partitions the coordinates with a balance-constrained k-means whose
 assignment step is solved exactly as a min-cost matching. A strided
 round-robin assignment is provided as the naive baseline.
 """
@@ -72,53 +72,27 @@ def distance_from_affinity(affinity: np.ndarray, strategy: str) -> np.ndarray:
     return dist
 
 
+def _pairwise(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate differences x_i - x_j and Euclidean distances ||x_i - x_j||."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return diff, np.sqrt((diff ** 2).sum(axis=2))
+
+
+def _stress_of(d: np.ndarray, dist: np.ndarray) -> float:
+    return float(np.triu((d - dist) ** 2, k=1).sum())
+
+
 def stress(coords: np.ndarray, dist: np.ndarray) -> float:
     """Sum over pairs i<j of (||x_i - x_j|| - dist_ij)^2."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
-    gap = d - dist
-    return float(np.triu(gap ** 2, k=1).sum())
+    return _stress_of(_pairwise(coords)[1], dist)
 
 
 def stress_gradient(coords: np.ndarray, dist: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Gradient of the stress: sum_j 2 (d_ij - D_ij) (x_i - x_j) / max(d_ij, eps)."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
+    diff, d = _pairwise(coords)
     coef = 2.0 * (d - dist) / np.maximum(d, eps)
     np.fill_diagonal(coef, 0.0)
     return (coef[:, :, None] * diff).sum(axis=1)
-
-
-@dataclass
-class AdamState:
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-
-    @staticmethod
-    def zeros_like(params: np.ndarray) -> "AdamState":
-        return AdamState(0, np.zeros_like(params), np.zeros_like(params))
-
-
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float = 1e-2,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected adaptive-moment update; returns new (params, state)."""
-    if params.shape != grads.shape:
-        raise DomainError(f"params {params.shape} and grads {grads.shape} must match")
-    step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads ** 2
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(step, m, v)
 
 
 @dataclass
@@ -127,54 +101,59 @@ class EmbeddedCoords:
     final_stress: float
     initial_stress: float
 
-    @property
-    def converged(self) -> bool:
-        return self.final_stress <= self.initial_stress
+
+def _classical_start(dist: np.ndarray, n_dims: int) -> np.ndarray:
+    """Torgerson start: top eigenvectors of the double-centred -D^2/2.
+
+    Negative eigenvalues are clipped to zero and each column's sign is fixed
+    so its largest-magnitude entry is positive; columns beyond the number of
+    points are zero.
+    """
+    n = dist.shape[0]
+    sq = dist ** 2
+    gram = -0.5 * (sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean())
+    values, vectors = np.linalg.eigh(gram)
+    k = min(n_dims, n)
+    top = vectors[:, ::-1][:, :k] * np.sqrt(np.clip(values[::-1][:k], 0.0, None))
+    rows = np.abs(top).argmax(axis=0)
+    top *= np.where(top[rows, np.arange(k)] < 0, -1.0, 1.0)
+    coords = np.zeros((n, n_dims))
+    coords[:, :k] = top
+    return coords
 
 
-def mds_embed(
-    dist: np.ndarray,
-    n_dims: int = 2,
-    steps: int = 5000,
-    lr: float = 1e-2,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    seed: int = 0,
-    lr_decay: str = "cosine",
-    grad_eps: float = 1e-12,
-) -> EmbeddedCoords:
+def mds_embed(dist: np.ndarray, n_dims: int = 2, steps: int = 5000) -> EmbeddedCoords:
     """Embed features so pairwise Euclidean distances approximate ``dist``.
 
-    Runs ``steps`` adaptive-moment updates on the squared-stress objective
-    from a seeded Gaussian start. lr_decay "cosine" anneals the step size to
-    zero so the iterate settles instead of orbiting the optimum; "none" keeps
-    it constant. Deterministic for a fixed seed.
+    SMACOF (de Leeuw 1977): from the classical-MDS start, repeat the Guttman
+    transform X <- B(X) X / n, with B_ij = -dist_ij / d_ij off the diagonal
+    (0 where d_ij = 0) and rows summing to zero. Each transform minimises a
+    quadratic majoriser of the stress, so the stress never rises in exact
+    arithmetic; iteration stops after ``steps`` transforms or at the first
+    one that does not lower it, and the lowest-stress iterate is returned.
+    Deterministic, with no step size.
     """
     n = dist.shape[0]
     if dist.shape != (n, n) or n < 2:
         raise DomainError(f"distance matrix must be square with >= 2 rows, got {dist.shape}")
     if n_dims < 1:
         raise DomainError("n_dims must be >= 1")
-    if lr_decay not in ("cosine", "none"):
-        raise DomainError(f"unknown lr_decay {lr_decay!r}")
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((n, n_dims)) * 0.1
-    initial = stress(coords, dist)
-    state = AdamState.zeros_like(coords)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            grads = stress_gradient(coords, dist, grad_eps)
-            step_lr = lr
-            if lr_decay == "cosine":
-                step_lr = lr * 0.5 * (1.0 + math.cos(math.pi * t / max(steps, 1)))
-            coords, state = adam_step(coords, grads, state, step_lr, beta1, beta2, eps)
-            if not np.all(np.isfinite(coords)):
-                raise NumericError(f"non-finite coordinates at optimizer step {t}")
-        final = stress(coords, dist)
-    if not np.isfinite(final):
-        raise NumericError(f"non-finite stress after {steps} steps")
-    return EmbeddedCoords(coords, final, initial)
+    if not np.all(np.isfinite(dist)):
+        raise NumericError("distance matrix has non-finite entries")
+    coords = _classical_start(dist, n_dims)
+    d = _pairwise(coords)[1]
+    initial = best = _stress_of(d, dist)
+    for _ in range(steps):
+        ratio = np.divide(dist, d, out=np.zeros_like(d), where=d > 0)
+        b = -ratio
+        b[np.diag_indices(n)] = ratio.sum(axis=1)
+        candidate = b @ coords / n
+        d_next = _pairwise(candidate)[1]
+        value = _stress_of(d_next, dist)
+        if not value < best:
+            break
+        coords, d, best = candidate, d_next, value
+    return EmbeddedCoords(coords, best, initial)
 
 
 @dataclass(frozen=True)

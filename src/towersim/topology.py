@@ -8,7 +8,6 @@ tower-transformed exchange communicates across hosts with.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -20,30 +19,19 @@ CROSS_HOST = "cross_host"
 
 @dataclass(frozen=True)
 class ClusterTopology:
-    """Logical cluster: host count, ranks per host, and link parameters.
+    """Logical cluster: host count and ranks per host.
 
-    Bandwidths are bytes/second, latencies seconds. The scale-up (intra-host)
-    link is expected to be at least as fast as the scale-out link; a slower
-    scale-up link is unusual but legal, so it only warns.
+    Link rates live in ``costmodel.CostParams``.
     """
 
     num_hosts: int
     ranks_per_host: int
-    scaleup_bw: float = 450e9
-    scaleout_bw: float = 50e9
-    scaleup_latency: float = 2e-6
-    scaleout_latency: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.num_hosts < 1 or self.ranks_per_host < 1:
             raise DomainError(
                 f"num_hosts and ranks_per_host must be >= 1, got "
                 f"{self.num_hosts} and {self.ranks_per_host}"
-            )
-        if self.scaleup_bw < self.scaleout_bw:
-            warnings.warn(
-                "scale-up bandwidth below scale-out bandwidth; unusual cluster",
-                stacklevel=2,
             )
 
     @property

@@ -175,7 +175,7 @@ def test_criterion_6_partitioner_recovery():
         ]
         assert min(within) >= 0.9 and max(across) <= 0.1
         dist = distance_from_affinity(affinity, "coherent")
-        coords = mds_embed(dist, 2, steps=2000, seed=1).coords
+        coords = mds_embed(dist, 2, steps=2000).coords
         assignment = constrained_kmeans(coords, len(blocks), balance=1.0, seed=1)
         towers = [set(g) for g in assignment.towers()]
         for b in range(len(blocks)):
@@ -199,7 +199,7 @@ def test_criterion_7_mds_fidelity():
     pts = rng.uniform(0.0, 1.0, (12, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
-    result = mds_embed(dist, 2, steps=5000, seed=0)
+    result = mds_embed(dist, 2, steps=5000)
     assert result.final_stress <= 1e-3
 
     for trial in range(50):

@@ -8,6 +8,7 @@ from towersim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_MISMATCH,
+    EXIT_NUMERIC,
     EXIT_OK,
     load_config,
     main,
@@ -94,9 +95,14 @@ def test_config_validation_paths(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
-    path.write_text("topolgy:\n  num_hosts: 2\n")
-    code = main(["--config", str(path), "verify"])
-    assert code == EXIT_CONFIG
+    for text in (
+        "topolgy:\n  num_hosts: 2\n",
+        "partitioner:\n  lr: 0.01\n",
+        "topology:\n  scaleup_bw: 1.0e6\n",
+    ):
+        path.write_text(text)
+        code = main(["--config", str(path), "verify"])
+        assert code == EXIT_CONFIG
 
 
 def blobs_csv(tmp_path, rng, sizes=(4, 4), dim=8, noise=0.1, header=False):
@@ -146,6 +152,27 @@ def test_partition_deterministic_outputs(tmp_path, rng):
     first = (out / "assignment.txt").read_bytes()
     main(["--config", str(cfg), "--out", str(out), "partition", "--embeddings", str(features)])
     assert (out / "assignment.txt").read_bytes() == first
+
+
+def test_partition_rejects_nonpositive_steps(tmp_path, rng, capsys):
+    features = blobs_csv(tmp_path, rng)
+    for steps in (0, -5):
+        cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": steps}})
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "part"),
+                     "partition", "--embeddings", str(features)])
+        assert code == EXIT_CONFIG
+        assert "partitioner.steps" in capsys.readouterr().err
+
+
+def test_partition_nan_embedding_is_numeric_error(tmp_path, rng, capsys):
+    features = blobs_csv(tmp_path, rng)
+    with open(features, "a") as fh:
+        fh.write(",".join(["nan"] * 8) + "\n")
+    cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": 300}})
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "part"),
+                 "partition", "--embeddings", str(features)])
+    assert code == EXIT_NUMERIC
+    assert "numeric error" in capsys.readouterr().err
 
 
 def test_partition_singleton_towers(tmp_path, rng):

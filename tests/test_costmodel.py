@@ -74,6 +74,11 @@ def test_params_validation():
         CostParams(efficiency={2: 1.5})
 
 
+def test_slow_scaleup_warns():
+    with pytest.warns(UserWarning):
+        CostParams(beta_up=1.0, beta_out=2.0)
+
+
 def test_latency_monotone_in_world_and_bytes_random_tables(rng):
     # Property: any non-increasing efficiency table keeps latency
     # non-decreasing in world size and in bytes.

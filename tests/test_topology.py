@@ -118,8 +118,3 @@ def test_tower_rank_helpers():
     assert layout.group_width(topo) == 4
     assert layout.tower_ranks(1, topo) == [4, 5, 6, 7]
     assert layout.tower_of_rank(3, topo) == 0
-
-
-def test_slow_scaleup_warns():
-    with pytest.warns(UserWarning):
-        ClusterTopology(num_hosts=1, ranks_per_host=2, scaleup_bw=1.0, scaleout_bw=2.0)
