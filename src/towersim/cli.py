@@ -137,8 +137,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 def _block_seed(cfg: dict, block: str, salt: int) -> int:
     explicit = cfg[block].get("seed")
     if explicit is not None:
-        return int(explicit)
-    return (int(cfg["seed"]) * 1_000_003 + salt) % (2**63)
+        return _num(explicit, f"{block}.seed")
+    return (_num(cfg["seed"], "seed") * 1_000_003 + salt) % (2**63)
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -146,18 +146,26 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _num(value, field: str, kind=int):
+    """``value`` cast to ``kind``; a value that is not a number is a
+    ConfigError naming the dotted ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: {value!r} is not a number") from None
+
+
 def build_topology(cfg: dict) -> ClusterTopology:
     t = cfg["topology"]
-    _require(int(t["num_hosts"]) >= 1, "topology.num_hosts", "must be >= 1")
-    _require(int(t["ranks_per_host"]) >= 1, "topology.ranks_per_host", "must be >= 1")
-    return ClusterTopology(
-        num_hosts=int(t["num_hosts"]),
-        ranks_per_host=int(t["ranks_per_host"]),
-    )
+    hosts = _num(t["num_hosts"], "topology.num_hosts")
+    per_host = _num(t["ranks_per_host"], "topology.ranks_per_host")
+    _require(hosts >= 1, "topology.num_hosts", "must be >= 1")
+    _require(per_host >= 1, "topology.ranks_per_host", "must be >= 1")
+    return ClusterTopology(num_hosts=hosts, ranks_per_host=per_host)
 
 
 def build_layout(cfg: dict, topo: ClusterTopology) -> TowerLayout:
-    h = int(cfg["layout"]["hosts_per_tower"])
+    h = _num(cfg["layout"]["hosts_per_tower"], "layout.hosts_per_tower")
     _require(h >= 1, "layout.hosts_per_tower", "must be >= 1")
     group = topo.ranks_per_host * h
     _require(
@@ -170,22 +178,24 @@ def build_layout(cfg: dict, topo: ClusterTopology) -> TowerLayout:
 
 def build_tables(cfg: dict) -> tuple[dict[int, EmbeddingTable], dict[int, object]]:
     t = cfg["tables"]
-    count = int(t["count"])
+    count = _num(t["count"], "tables.count")
+    rows, dim = _num(t["rows"], "tables.rows"), _num(t["dim"], "tables.dim")
     _require(count >= 1, "tables.count", "must be >= 1")
     _require(t["sharding"] in SCHEMES, "tables.sharding", f"must be one of {SCHEMES}")
     seed = _block_seed(cfg, "tables", 1)
     tables = {
-        tid: init_table_deterministic(
-            tid, int(t["rows"]), int(t["dim"]), seed, bool(t["integer_values"])
-        )
+        tid: init_table_deterministic(tid, rows, dim, seed, bool(t["integer_values"]))
         for tid in range(count)
     }
     hot = t["hotness"]
     if isinstance(hot, (list, tuple)):
-        _require(len(hot) == 2 and 0 <= hot[0] <= hot[1], "tables.hotness", "need [lo, hi]")
-        hotness = {tid: (int(hot[0]), int(hot[1])) for tid in range(count)}
+        _require(len(hot) == 2, "tables.hotness", "need [lo, hi]")
+        lo, hi = (_num(h, "tables.hotness") for h in hot)
+        _require(0 <= lo <= hi, "tables.hotness", "need [lo, hi]")
+        hotness = {tid: (lo, hi) for tid in range(count)}
     else:
-        _require(int(hot) == 1, "tables.hotness", "scalar hotness must be 1 (single-hot)")
+        _require(_num(hot, "tables.hotness") == 1, "tables.hotness",
+                 "scalar hotness must be 1 (single-hot)")
         hotness = {tid: 1 for tid in range(count)}
     return tables, hotness
 
@@ -234,13 +244,14 @@ def build_assignment(
             "layout.explicit",
             f"need a list of {num_features} tower ids",
         )
-        for feat, tower in enumerate(explicit):
+        mapping = {f: _num(t, "layout.explicit") for f, t in enumerate(explicit)}
+        for feat, tower in mapping.items():
             _require(
-                0 <= int(tower) < towers,
+                0 <= tower < towers,
                 "layout.explicit",
                 f"feature {feat} mapped to unknown tower {tower}",
             )
-        return {f: int(t) for f, t in enumerate(explicit)}
+        return mapping
     raise ConfigError(f"layout.assignment: unknown mode {mode!r}")
 
 
@@ -253,12 +264,12 @@ def build_placement(
 ) -> ShardedEmbedding:
     t = cfg["tables"]
     scheme = t["sharding"]
-    shards = int(t["shards_per_table"])
+    shards = _num(t["shards_per_table"], "tables.shards_per_table")
     plan = {}
-    for tid in tables:
+    for tid, table in tables.items():
         per_table = 1 if scheme == TABLE_WISE else min(
             shards,
-            int(t["dim"]) if scheme == COLUMN_WISE else int(t["rows"]),
+            table.dim if scheme == COLUMN_WISE else table.rows,
             layout.group_width(topo),
         )
         plan[tid] = TablePlan(scheme, per_table, assignment[tid])
@@ -271,23 +282,20 @@ def build_batch(
     tables: dict[int, EmbeddingTable],
     hotness: dict[int, object],
 ) -> SparseBatch:
-    b = cfg["batch"]
-    _require(int(b["local_size"]) >= 1, "batch.local_size", "must be >= 1")
-    return make_batch(topo, tables, int(b["local_size"]), hotness, _block_seed(cfg, "batch", 2))
+    size = _num(cfg["batch"]["local_size"], "batch.local_size")
+    _require(size >= 1, "batch.local_size", "must be >= 1")
+    return make_batch(topo, tables, size, hotness, _block_seed(cfg, "batch", 2))
 
 
-def build_tm(cfg: dict) -> Optional[TMConfig]:
+def build_tm(cfg: dict) -> TMConfig:
     t = cfg["tm"]
     if t["kind"] == PASSTHROUGH:
-        return None
-    return TMConfig(
-        kind=t["kind"],
-        out_dim=int(t["out_dim"]),
-        per_feature_outputs=int(t["per_feature_outputs"]),
-        flat_outputs=int(t["flat_outputs"]),
-        cross_layers=int(t["cross_layers"]),
-        seed=_block_seed(cfg, "tm", 3),
-    )
+        return TMConfig()
+    sizes = {
+        name: _num(t[name], f"tm.{name}")
+        for name in ("out_dim", "per_feature_outputs", "flat_outputs", "cross_layers")
+    }
+    return TMConfig(kind=t["kind"], seed=_block_seed(cfg, "tm", 3), **sizes)
 
 
 def build_options(cfg: dict) -> exchange.ExchangeOptions:
@@ -306,15 +314,16 @@ def build_cost_params(cfg: dict) -> costmodel.CostParams:
     if efficiency is None:
         efficiency = costmodel.default_efficiency()
     else:
-        efficiency = {int(k): float(v) for k, v in dict(efficiency).items()}
-    return costmodel.CostParams(
-        alpha_up=float(c["alpha_up"]),
-        alpha_out=float(c["alpha_out"]),
-        beta_up=float(c["beta_up"]),
-        beta_out=float(c["beta_out"]),
-        compute_rate=float(c["compute_rate"]),
-        efficiency=efficiency,
-    )
+        _require(isinstance(efficiency, dict), "cost.efficiency", "need {world: factor}")
+        efficiency = {
+            _num(k, "cost.efficiency"): _num(v, f"cost.efficiency.{k}", float)
+            for k, v in efficiency.items()
+        }
+    rates = {
+        name: _num(c[name], f"cost.{name}", float)
+        for name in ("alpha_up", "alpha_out", "beta_up", "beta_out", "compute_rate")
+    }
+    return costmodel.CostParams(efficiency=efficiency, **rates)
 
 
 class RunContext:
@@ -345,9 +354,9 @@ class RunContext:
 
     def compression(self) -> float:
         widths, counts = [], []
+        cfg_t = self.options.tower_modules
         for tower in range(self.layout.num_towers):
             feats = self.plan.features_of(tower)
-            cfg_t = self.options.tm_for(tower)
             dims = [self.tables[f].dim for f in feats]
             in_dim = dims[0] if dims else 1
             widths.append(towermod.tm_output_width(cfg_t, len(feats), in_dim))
@@ -565,31 +574,38 @@ def read_assignment(path) -> dict[int, int]:
             parts = line.split()
             if len(parts) != 2:
                 raise IngestionError(f"{path}:{lineno}: expected 'feature tower'")
-            mapping[int(parts[0])] = int(parts[1])
+            try:
+                mapping[int(parts[0])] = int(parts[1])
+            except ValueError:
+                raise IngestionError(
+                    f"{path}:{lineno}: feature and tower must be integers"
+                ) from None
     return mapping
 
 
 def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
     p = cfg["partitioner"]
-    _require(int(p["steps"]) >= 1, "partitioner.steps", "must be >= 1")
+    steps = _num(p["steps"], "partitioner.steps")
+    embed_dims = _num(p["embed_dims"], "partitioner.embed_dims")
+    num_towers = _num(p["num_towers"], "partitioner.num_towers")
+    balance = _num(p["balance"], "partitioner.balance", float)
+    _require(steps >= 1, "partitioner.steps", "must be >= 1")
+    _require(embed_dims >= 1, "partitioner.embed_dims", "must be >= 1")
     features = read_embeddings(embeddings_path)
-    num_towers = int(p["num_towers"])
     _require(features.shape[0] >= num_towers, "partitioner.num_towers",
              f"only {features.shape[0]} features for {num_towers} towers")
-    if int(p["embed_dims"]) >= features.shape[1]:
+    if embed_dims >= features.shape[1]:
         print(
-            f"warning: embed_dims={p['embed_dims']} not below source dim "
+            f"warning: embed_dims={embed_dims} not below source dim "
             f"{features.shape[1]}",
             file=sys.stderr,
         )
     affinity = partitioner.affinity_from_embeddings(features)
     dist = partitioner.distance_from_affinity(affinity, p["strategy"])
     seed = _block_seed(cfg, "partitioner", 4)
-    embedded = partitioner.mds_embed(
-        dist, n_dims=int(p["embed_dims"]), steps=int(p["steps"])
-    )
+    embedded = partitioner.mds_embed(dist, n_dims=embed_dims, steps=steps)
     assignment = partitioner.constrained_kmeans(
-        embedded.coords, num_towers, float(p["balance"]), seed=seed
+        embedded.coords, num_towers, balance, seed=seed
     )
     score = partitioner.partition_score(assignment, affinity, p["strategy"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -617,14 +633,8 @@ def cost_one(cfg: dict) -> dict[str, float]:
     base_cost = costmodel.pipeline_cost(
         baseline.trace, ctx.topo, params, flops=baseline.flops
     )
-    step_kinds = (
-        {"d": costmodel.REDUCESCATTER}
-        if ctx.options.rowwise_reducescatter
-        else None
-    )
     tower_cost = costmodel.pipeline_cost(
-        tower.trace, ctx.topo, params, layout=ctx.layout, flops=tower.flops,
-        step_kinds=step_kinds,
+        tower.trace, ctx.topo, params, flops=tower.flops
     )
     report = costmodel.speedup_report(base_cost, tower_cost)
     return {
@@ -763,7 +773,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             if args.random_sweep is not None:
                 matched, total, problems = run_random_sweep(
-                    args.random_sweep, int(cfg["seed"])
+                    args.random_sweep, _num(cfg["seed"], "seed")
                 )
                 print(f"{matched}/{total} exact")
                 for line in problems:

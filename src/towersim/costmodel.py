@@ -3,10 +3,12 @@
 A collective over w ranks moving S bytes per rank costs
 alpha + S * (w-1)/w / (beta * efficiency(w)); efficiency is a non-increasing
 table keyed by world size (collective throughput degrades as groups grow).
-Traces from the exchange pipelines are grouped by step label into their
-collective groups; disjoint concurrent groups (the per-tower step-d and
-per-class step-f collectives) cost their maximum, not their sum, because
-they use disjoint links under full-bisection networks.
+Every collective registers its rank group on the trace it writes to, so a
+trace carries its own collective structure: each group is costed at its own
+size, on the scale-out link when its ranks sit on more than one host and on
+the scale-up link otherwise. Disjoint concurrent groups of one step label
+(the per-tower step-d and per-class step-f collectives) cost their maximum,
+not their sum, because they use disjoint links under full-bisection networks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 
 from .errors import DomainError, ReportError
 from .simnet import CommTrace
-from .topology import ClusterTopology, TowerLayout, class_members
+from .topology import ClusterTopology
 
 ALLTOALL = "alltoall"
 REDUCESCATTER = "reducescatter"
@@ -88,7 +90,11 @@ def efficiency_at(table: dict[int, float], world: int) -> float:
 def collective_latency(
     kind: str, world: int, per_rank_bytes: float, link: str, params: CostParams
 ) -> float:
-    """Seconds for one collective; single-rank groups are free."""
+    """Seconds for one collective; single-rank groups are free.
+
+    Both kinds share one formula: an all-to-all and a reduce-scatter each
+    put (w-1)/w of a rank's bytes on the wire.
+    """
     if kind not in (ALLTOALL, REDUCESCATTER):
         raise DomainError(f"unknown collective kind {kind!r}")
     if link not in (INTRA, CROSS):
@@ -116,62 +122,40 @@ class CostBreakdown:
         return self.exposed_comm + self.compute
 
 
-_COMM_STEPS = ("a", "c", "d", "f")
 _COMPUTE_STEPS = ("b", "e")
-
-
-def _step_groups(
-    label: str, topo: ClusterTopology, layout: Optional[TowerLayout]
-) -> list[tuple[list[int], str]]:
-    """The collective groups a step label runs over, with their link class."""
-    world = list(range(topo.world_size))
-    if label in ("a", "c"):
-        return [(world, CROSS if topo.num_hosts > 1 else INTRA)]
-    if layout is None:
-        raise ReportError(f"step {label!r} needs a tower layout to group ranks")
-    width = layout.group_width(topo)
-    if label == "d":
-        link = CROSS if layout.hosts_per_tower > 1 else INTRA
-        return [(layout.tower_ranks(t, topo), link) for t in range(layout.num_towers)]
-    if label == "f":
-        link = CROSS if layout.num_towers > 1 and topo.num_hosts > 1 else INTRA
-        return [
-            (class_members(c, topo, layout), link) for c in range(width)
-        ]
-    raise ReportError(f"unknown step label {label!r}")
 
 
 def pipeline_cost(
     trace: CommTrace,
     topo: ClusterTopology,
     params: CostParams,
-    layout: Optional[TowerLayout] = None,
     flops: Optional[dict[str, float]] = None,
-    step_kinds: Optional[dict[str, str]] = None,
 ) -> CostBreakdown:
     """Cost a traced exchange run.
 
-    Per step label, traffic is grouped into that step's collective groups;
-    each group is costed at its world size on its link class with the
-    per-rank byte maximum, and concurrent groups of one step contribute their
-    maximum. ``flops`` adds compute seconds for the local steps (lookup "b",
-    tower modules "e").
+    Per step label, each rank group registered on the trace is one
+    collective, costed at its size with the maximum bytes any of its ranks
+    sent under that label, on the cross-host link if its ranks span hosts;
+    concurrent groups of one label contribute their maximum. A label with
+    messages but no registered group raises ReportError. ``flops`` adds
+    compute seconds for the local steps (lookup "b", tower modules "e").
     """
     per_step: dict[str, float] = {}
     exposed = 0.0
-    kinds = step_kinds or {}
     for label in trace.labels():
-        if label not in _COMM_STEPS:
-            raise ReportError(f"unknown step label {label!r} in trace")
+        groups = trace.groups.get(label)
+        if not groups:
+            raise ReportError(f"step {label!r} has messages outside any collective")
         sent = trace.sent_by_rank(label)
-        kind = kinds.get(label, ALLTOALL)
         worst = 0.0
-        for group, link in _step_groups(label, topo, layout):
-            per_rank = max((sent.get(r, 0) for r in group), default=0)
+        for group in groups:
+            per_rank = max(sent.get(r, 0) for r in group)
             if per_rank == 0:
                 continue
+            hosts = {topo.host_of(r) for r in group}
+            link = CROSS if len(hosts) > 1 else INTRA
             worst = max(
-                worst, collective_latency(kind, len(group), per_rank, link, params)
+                worst, collective_latency(ALLTOALL, len(group), per_rank, link, params)
             )
         per_step[label] = worst
         exposed += worst

@@ -65,21 +65,13 @@ class ExchangeOptions:
     ordering; both leave results identical. rowwise_reducescatter sums
     row-wise partial pools inside a reduce-scatter at step d instead of
     shipping per-shard partials and summing at the receiver. tower_modules
-    maps tower id to a TMConfig (a single TMConfig applies to every tower;
-    None means passthrough).
+    is the one TMConfig every tower applies (passthrough by default).
     """
 
     swap_bc: bool = False
     omit_permute: bool = False
     rowwise_reducescatter: bool = False
-    tower_modules: object = None
-
-    def tm_for(self, tower: int) -> TMConfig:
-        if self.tower_modules is None:
-            return TMConfig(kind=PASSTHROUGH)
-        if isinstance(self.tower_modules, TMConfig):
-            return self.tower_modules
-        return self.tower_modules.get(tower, TMConfig(kind=PASSTHROUGH))
+    tower_modules: TMConfig = TMConfig()
 
 
 @dataclass(frozen=True)
@@ -91,10 +83,6 @@ class OutputLayout:
     """
 
     blocks: tuple[tuple[str, int, int], ...]
-
-    @property
-    def total_width(self) -> int:
-        return sum(w for _, _, w in self.blocks)
 
     def feature_widths(self) -> dict[int, int]:
         if any(kind != "feature" for kind, _, _ in self.blocks):
@@ -255,9 +243,9 @@ def _resolve_tower_modules(
 ):
     """Per-tower (config, weights, width, flops) for the step-e compression."""
     info = {}
+    cfg = opts.tower_modules
     for tower in range(plan.layout.num_towers):
         feats = features_by_tower[tower]
-        cfg = opts.tm_for(tower)
         dims = {placement.tables[f].dim for f in feats}
         if cfg.kind != PASSTHROUGH:
             if len(dims) > 1:

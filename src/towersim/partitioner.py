@@ -173,9 +173,6 @@ class TowerAssignment:
     def sizes(self) -> list[int]:
         return [len(g) for g in self.towers()]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.tower_of))
-
 
 def size_window(num_features: int, num_towers: int, balance: float) -> tuple[int, int]:
     """Allowed per-tower sizes: [floor(F/T), max(ceil(F/T), balance*floor(F/T))]."""

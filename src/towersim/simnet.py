@@ -1,9 +1,10 @@
 """Deterministic in-memory message passing over ranks with byte accounting.
 
 Collectives here are functional: they move payloads and log traffic, they do
-not model time. Latency is derived separately by the cost model from the
-trace. Byte accounting uses a fixed 4-byte element width (single-precision
-wire format) regardless of the in-memory dtype.
+not model time. Each collective also registers the rank group it ran over on
+its trace, so the cost model derives latency from the trace alone. Byte
+accounting uses a fixed 4-byte element width (single-precision wire format)
+regardless of the in-memory dtype.
 """
 
 from __future__ import annotations
@@ -55,11 +56,19 @@ class TraceEntry(NamedTuple):
 
 
 class CommTrace:
-    """Append-only log of simulated messages for one run."""
+    """Append-only log of simulated messages for one run.
+
+    ``groups[label]`` holds the distinct rank groups the collectives under
+    that label ran over, in first-use order.
+    """
 
     def __init__(self, topo: ClusterTopology):
         self.topo = topo
         self.entries: list[TraceEntry] = []
+        self.groups: dict[str, dict[tuple[int, ...], None]] = {}
+
+    def add_group(self, label: str, group: Sequence[int]) -> None:
+        self.groups.setdefault(label, {})[tuple(group)] = None
 
     def record(self, label: str, src: int, dst: int, nbytes: int) -> None:
         self.entries.append(
@@ -99,6 +108,8 @@ class CommTrace:
 
     @staticmethod
     def load(path, topo: ClusterTopology) -> "CommTrace":
+        """Messages only: the file holds no collective groups, so a loaded
+        trace cannot be costed."""
         trace = CommTrace(topo)
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -137,6 +148,7 @@ def all_to_all(
                 f"rank {rank} supplied {len(sends[rank])} payloads for "
                 f"{label!r}, expected {len(group)}"
             )
+    trace.add_group(label, group)
     # Outer loop over sources in group order, so receivers end up holding
     # payloads ordered by source position.
     received: dict[int, list] = {rank: [] for rank in group}
@@ -172,6 +184,7 @@ def reduce_scatter(
                 f"rank {rank} supplied {len(shards)} shards for {label!r}, "
                 f"expected {size}"
             )
+    trace.add_group(label, group)
     out: dict[int, np.ndarray] = {}
     for j, dst in enumerate(group):
         total: Optional[np.ndarray] = None

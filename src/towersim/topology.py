@@ -121,8 +121,7 @@ def class_order(topo: ClusterTopology, layout: TowerLayout) -> tuple[int, ...]:
     """
     layout.validate_for(topo)
     width = layout.group_width(topo)
-    key = lambda g: (g % width, g // width)
-    return tuple(sorted(range(topo.world_size), key=key))
+    return tuple(r for c in range(width) for r in class_members(c, topo, layout))
 
 
 def class_members(cls: int, topo: ClusterTopology, layout: TowerLayout) -> list[int]:

@@ -156,12 +156,31 @@ def test_partition_deterministic_outputs(tmp_path, rng):
 
 def test_partition_rejects_nonpositive_steps(tmp_path, rng, capsys):
     features = blobs_csv(tmp_path, rng)
-    for steps in (0, -5):
-        cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": steps}})
+    for key, value in (("steps", 0), ("steps", -5), ("embed_dims", 0)):
+        cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, key: value}})
         code = main(["--config", str(cfg), "--out", str(tmp_path / "part"),
                      "partition", "--embeddings", str(features)])
         assert code == EXIT_CONFIG
-        assert "partitioner.steps" in capsys.readouterr().err
+        assert f"partitioner.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("partition", {"partitioner": {"num_towers": 2, "steps": "abc"}}, "partitioner.steps"),
+        ("verify", {"topology": {"num_hosts": "two"}}, "topology.num_hosts"),
+        ("cost", {"cost": {"alpha_up": "fast"}}, "cost.alpha_up"),
+        ("verify", {"tables": {"hotness": [0, "x"]}}, "tables.hotness"),
+    ],
+)
+def test_non_numeric_config_value_names_field(tmp_path, rng, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, overrides)
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), command]
+    if command == "partition":
+        argv += ["--embeddings", str(blobs_csv(tmp_path, rng))]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
 
 
 def test_partition_nan_embedding_is_numeric_error(tmp_path, rng, capsys):
@@ -245,6 +264,12 @@ def test_ingestion_errors(tmp_path, capsys):
         read_embeddings(str(raw))
     cfg = write_config(tmp_path)
     code = main(["--config", str(cfg), "partition", "--embeddings", str(bad)])
+    assert code == EXIT_IO
+    assignment = tmp_path / "assignment.txt"
+    assignment.write_text("0\t0\n1\tx\n")
+    with pytest.raises(IngestionError, match="assignment.txt:2"):
+        read_assignment(assignment)
+    code = main(["--config", str(cfg), "verify", "--assignment", str(assignment)])
     assert code == EXIT_IO
 
 

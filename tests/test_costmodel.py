@@ -11,6 +11,7 @@ from towersim.costmodel import (
     pipeline_cost,
     speedup_report,
 )
+from towersim.embedding import TablePlan, shard_tables
 from towersim.errors import DomainError, ReportError
 from towersim.exchange import ExchangeOptions, baseline_exchange, tower_exchange
 from towersim.simnet import CommTrace
@@ -108,7 +109,7 @@ def test_breakdown_totals_are_sums():
     )
     params = CostParams()
     result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    breakdown = pipeline_cost(result.trace, topo, params, layout=layout, flops=result.flops)
+    breakdown = pipeline_cost(result.trace, topo, params, flops=result.flops)
     comm = sum(breakdown.per_step[s] for s in ("a", "d", "f"))
     compute = sum(breakdown.per_step.get(s, 0.0) for s in ("b", "e"))
     assert breakdown.exposed_comm == pytest.approx(comm)
@@ -134,7 +135,7 @@ def test_step_f_costed_as_concurrent_max():
     )
     params = CostParams()
     result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    breakdown = pipeline_cost(result.trace, topo, params, layout=layout)
+    breakdown = pipeline_cost(result.trace, topo, params)
     sent = result.trace.sent_by_rank("f")
     per_group = []
     for cls in range(layout.group_width(topo)):
@@ -144,6 +145,53 @@ def test_step_f_costed_as_concurrent_max():
             collective_latency("alltoall", layout.num_towers, per_rank, "cross", params)
         )
     assert breakdown.per_step["f"] == pytest.approx(max(per_group))
+
+
+def test_tower_spanning_hosts_costs_step_d_cross_host():
+    # One tower over both hosts: its step-d all-to-all runs on the
+    # scale-out link at the tower's width.
+    topo, layout, tables, batch, placement, plan = build_run(
+        num_hosts=2, ranks_per_host=2, hosts_per_tower=2, dims=(4,), num_tables=4
+    )
+    params = CostParams()
+    result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
+    breakdown = pipeline_cost(result.trace, topo, params)
+    per_rank = max(result.trace.sent_by_rank("d").values())
+    width = layout.group_width(topo)
+    expected = collective_latency("alltoall", width, per_rank, "cross", params)
+    assert breakdown.per_step["d"] == pytest.approx(expected)
+
+
+def test_rowwise_reducescatter_step_d_is_one_collective_per_tower():
+    # Even tables are row-wise x2 and go through a reduce-scatter at step d,
+    # odd ones through the tower's all-to-all. Both run over the tower's
+    # ranks, so each tower costs one collective over each rank's summed
+    # step-d bytes.
+    topo, layout, tables, batch, _, plan = build_run(
+        num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, hotness=(0, 3)
+    )
+    schemes = {
+        tid: TablePlan(*(("row_wise", 2) if tid % 2 == 0 else ("table_wise", 1)), tower)
+        for tid, tower in plan.feature_towers.items()
+    }
+    placement = shard_tables(tables, schemes, topo, layout)
+    opts = ExchangeOptions(rowwise_reducescatter=True)
+    result = tower_exchange(batch, placement, plan, topo, opts)
+    width = layout.group_width(topo)
+    step_d = [e for e in result.trace.entries if e.label == "d"]
+    assert len(step_d) > layout.num_towers * width * width  # reduce-scatters ran
+    sent: dict[int, int] = {}
+    for e in step_d:
+        sent[e.src] = sent.get(e.src, 0) + e.nbytes
+    params = CostParams()
+    expected = max(
+        collective_latency(
+            "alltoall", width, max(sent[r] for r in layout.tower_ranks(t, topo)),
+            "intra", params,
+        )
+        for t in range(layout.num_towers)
+    )
+    assert pipeline_cost(result.trace, topo, params).per_step["d"] == pytest.approx(expected)
 
 
 def test_compression_shrinks_step_f_time():
@@ -158,8 +206,8 @@ def test_compression_shrinks_step_f_time():
     squeezed = tower_exchange(
         batch, placement, plan, topo, ExchangeOptions(tower_modules=tm)
     )
-    cost_plain = pipeline_cost(plain.trace, topo, params, layout=layout)
-    cost_squeezed = pipeline_cost(squeezed.trace, topo, params, layout=layout)
+    cost_plain = pipeline_cost(plain.trace, topo, params)
+    cost_squeezed = pipeline_cost(squeezed.trace, topo, params)
     assert cost_squeezed.per_step["f"] < cost_plain.per_step["f"]
 
 
@@ -175,7 +223,7 @@ def test_tower_beats_baseline_step_with_decaying_efficiency():
     base = baseline_exchange(batch, placement, topo)
     tower = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
     cost_base = pipeline_cost(base.trace, topo, params)
-    cost_tower = pipeline_cost(tower.trace, topo, params, layout=layout)
+    cost_tower = pipeline_cost(tower.trace, topo, params)
     assert cost_tower.per_step["f"] < cost_base.per_step["c"]
 
 
@@ -188,7 +236,7 @@ def test_unknown_label_rejected():
     trace2 = CommTrace(topo)
     trace2.record("f", 0, 1, 8)
     with pytest.raises(ReportError):
-        pipeline_cost(trace2, topo, CostParams())  # layout required for f
+        pipeline_cost(trace2, topo, CostParams())  # message outside any collective
     with pytest.raises(ReportError):
         pipeline_cost(CommTrace(topo), topo, CostParams(), flops={"z": 1.0})
 

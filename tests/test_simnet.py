@@ -62,6 +62,10 @@ def test_all_to_all_wire_bytes_enumeration():
     assert (intra, cross) == (32, 64)
     assert intra + cross == 96
     assert len(trace.entries) == 16
+    # Each label keeps its distinct groups once, in first-use order.
+    all_to_all([2, 3], {r: [payload] * 2 for r in (2, 3)}, "x", trace)
+    all_to_all(group, {r: [payload] * 4 for r in group}, "x", trace)
+    assert list(trace.groups["x"]) == [(0, 1, 2, 3), (2, 3)]
 
 
 def test_all_to_all_errors():
@@ -72,6 +76,7 @@ def test_all_to_all_errors():
         all_to_all([0, 1], {0: [None], 1: [None, None]}, "x", trace)
     with pytest.raises(DomainError):
         all_to_all([0, 0], {0: [None, None]}, "x", trace)
+    assert trace.groups == {}  # a rejected collective registers no group
 
 
 def test_byte_totals_empty_and_self_only():
@@ -101,6 +106,7 @@ def test_reduce_scatter_two_term_sum():
     out = reduce_scatter([0, 1], sends, "d", trace)
     assert np.array_equal(out[0], [4.0, 6.0])
     assert np.array_equal(out[1], [18.0, 18.0])
+    assert list(trace.groups["d"]) == [(0, 1)]
 
 
 def test_reduce_scatter_single_rank_identity():
