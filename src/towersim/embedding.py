@@ -347,9 +347,3 @@ def make_batch(
     batch = SparseBatch(bags, local_batch, pooling)
     batch.validate(tables)
     return batch
-
-
-def load_table_csv(path, table_id: int) -> EmbeddingTable:
-    """Read a small hand-built table from CSV (rows of comma-separated floats)."""
-    values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    return EmbeddingTable(table_id, values.shape[0], values.shape[1], values)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct process exit codes (see cli.EXIT_CODES).
+cli.main maps these onto the process exit codes listed in the cli module
+docstring.
 """
 
 
@@ -42,10 +43,6 @@ class ConstraintError(TowersimError, ValueError):
 
 class NumericError(TowersimError, ArithmeticError):
     """An iterative solver produced non-finite values."""
-
-
-class EquivalenceError(TowersimError, AssertionError):
-    """Two exchange pipelines that must agree did not."""
 
 
 class IngestionError(TowersimError, ValueError):

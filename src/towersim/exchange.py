@@ -31,7 +31,7 @@ from .embedding import (
     SparseBatch,
     lookup,
 )
-from .errors import DomainError, LayoutError, PlanError
+from .errors import LayoutError, PlanError
 from .simnet import CommTrace, Tagged, all_to_all, reduce_scatter
 from .topology import ClusterTopology, TowerLayout, class_members, class_order
 from .towermod import (
@@ -190,11 +190,20 @@ def _distribute_and_lookup(
     return blocks, lookup_flops
 
 
+def _assemble(bundles, placement: ShardedEmbedding) -> dict[int, np.ndarray]:
+    """Features assembled from received bundles of Tagged(shard id, matrix)."""
+    pieces: dict[int, list[tuple]] = {}
+    for bundle in bundles:
+        for tagged in bundle:
+            shard = placement.shards[tagged.tag]
+            pieces.setdefault(shard.table_id, []).append((shard, tagged.data))
+    return {feat: _combine_pieces(parts) for feat, parts in pieces.items()}
+
+
 def baseline_exchange(
     batch: SparseBatch,
     placement: ShardedEmbedding,
     topo: ClusterTopology,
-    trace: Optional[CommTrace] = None,
 ) -> ExchangeResult:
     """Flat pipeline: global index all-to-all, lookup, global embedding all-to-all.
 
@@ -204,8 +213,7 @@ def baseline_exchange(
     batch.validate(placement.tables)
     for feat in batch.features:
         placement.shards_of(feat)
-    if trace is None:
-        trace = CommTrace(topo)
+    trace = CommTrace(topo)
     world = list(range(topo.world_size))
     blocks, lookup_flops = _distribute_and_lookup(batch, placement, topo, trace)
 
@@ -222,47 +230,10 @@ def baseline_exchange(
     features = batch.features
     widths = {f: placement.tables[f].dim for f in features}
     for rank in world:
-        pieces: dict[int, list[tuple]] = {f: [] for f in features}
-        for bundle in received[rank]:
-            for tagged in bundle:
-                shard = placement.shards[tagged.tag]
-                pieces[shard.table_id].append((shard, tagged.data))
-        outputs[rank] = np.concatenate(
-            [_combine_pieces(pieces[f]) for f in features], axis=1
-        )
+        assembled = _assemble(received[rank], placement)
+        outputs[rank] = np.concatenate([assembled[f] for f in features], axis=1)
     layout = OutputLayout(tuple(("feature", f, widths[f]) for f in features))
     return ExchangeResult(outputs, layout, trace, {"b": max(lookup_flops.values())})
-
-
-def _resolve_tower_modules(
-    plan: TowerPlan,
-    placement: ShardedEmbedding,
-    opts: ExchangeOptions,
-    batch_size: int,
-    features_by_tower: dict[int, list[int]],
-):
-    """Per-tower (config, weights, width, flops) for the step-e compression."""
-    info = {}
-    cfg = opts.tower_modules
-    for tower in range(plan.layout.num_towers):
-        feats = features_by_tower[tower]
-        dims = {placement.tables[f].dim for f in feats}
-        if cfg.kind != PASSTHROUGH:
-            if len(dims) > 1:
-                raise PlanError(
-                    f"tower {tower} mixes embedding dims {sorted(dims)}; "
-                    "tower modules need one dim per tower"
-                )
-            in_dim = dims.pop() if dims else 1
-            weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
-            width = tm_output_width(cfg, len(feats), in_dim)
-            flops = tm_flops(cfg, len(feats), in_dim, batch_size)
-        else:
-            weights = None
-            width = sum(placement.tables[f].dim for f in feats)
-            flops = 0.0
-        info[tower] = (cfg, weights, width, flops)
-    return info
 
 
 def tower_exchange(
@@ -271,16 +242,12 @@ def tower_exchange(
     plan: TowerPlan,
     topo: ClusterTopology,
     opts: ExchangeOptions = ExchangeOptions(),
-    trace: Optional[CommTrace] = None,
-    step_f_schedule: Optional[Sequence[int]] = None,
 ) -> ExchangeResult:
     """Topology-aware pipeline over disjoint towers; see the module docstring.
 
     Output columns group features by tower (towers ascending, features by id
     inside each tower); realign() maps back to feature-id order for
-    comparison against the baseline. ``step_f_schedule`` reorders the
-    issue order of the concurrent per-class all-to-alls (results are
-    schedule-independent; tests assert it).
+    comparison against the baseline.
     """
     batch.validate(placement.tables)
     layout = plan.layout
@@ -299,157 +266,131 @@ def tower_exchange(
                 f"feature {feat} mapped to tower {tower} but sharded on {sorted(owners)}"
             )
 
-    if trace is None:
-        trace = CommTrace(topo)
+    trace = CommTrace(topo)
     batch_size = batch.local_batch
-    features_by_tower = {
-        t: [f for f in plan.features_of(t) if f in batch.pooling]
-        for t in range(num_towers)
-    }
+    members = [class_members(cls, topo, layout) for cls in range(width)]
 
     # Destination blocks in class order: all class-0 ranks (tower ascending),
     # then class-1, ... Chunk c of size num_towers is exactly peer class c.
     dest_seq = class_order(topo, layout)
-    dest_pos = {rank: i for i, rank in enumerate(dest_seq)}
-
     if opts.swap_bc:
         # Permute the (smaller) index payloads before lookup: blocks come out
         # already in class order.
         blocks, lookup_flops = _distribute_and_lookup(
             batch, placement, topo, trace, dest_seq=dest_seq
         )
-        position_of = lambda dest: dest_pos[dest]
     else:
         blocks, lookup_flops = _distribute_and_lookup(batch, placement, topo, trace)
-        if opts.omit_permute:
-            # Virtual ordering: leave blocks in rank order and index through
-            # the permutation when building step-d payloads.
-            position_of = lambda dest: dest
-        else:
+        if not opts.omit_permute:
             blocks = {
                 owner: {
                     sid: [mats[p] for p in dest_seq] for sid, mats in per_shard.items()
                 }
                 for owner, per_shard in blocks.items()
             }
-            position_of = lambda dest: dest_pos[dest]
+    # position[dest] indexes dest's block in blocks[owner][sid]. omit_permute
+    # alone leaves blocks in rank order, and step d gathers through this
+    # virtual ordering instead of a materialized permute.
+    order = range(topo.world_size) if opts.omit_permute and not opts.swap_bc else dest_seq
+    position = {rank: i for i, rank in enumerate(order)}
 
-    rs_tables: set[int] = set()
+    def stacked(owner: int, sid: int, cls: int) -> np.ndarray:
+        return np.concatenate(
+            [blocks[owner][sid][position[p]] for p in members[cls]], axis=0
+        )
+
+    # Row-wise features bypass the step-d all-to-all under
+    # rowwise_reducescatter; their partial pools sum in a reduce-scatter.
+    rs_shards: dict[int, list[int]] = {}
     if opts.rowwise_reducescatter:
-        rs_tables = {
-            f
-            for f in batch.features
-            if any(s.scheme == ROW_WISE for s in placement.shards_of(f))
-        }
+        for sid, shard in enumerate(placement.shards):
+            if shard.scheme == ROW_WISE and shard.table_id in batch.pooling:
+                rs_shards.setdefault(shard.table_id, []).append(sid)
 
-    # Step d: one collective per tower assembling full-width embeddings for
-    # each destination class on that class's local rank.
-    assembled: dict[int, dict[int, np.ndarray]] = {r: {} for r in range(topo.world_size)}
+    def partials(sids: list[int]) -> dict[int, list[np.ndarray]]:
+        """Per-owner, per-class partials; an owner holding several row
+        shards pre-sums them in shard order."""
+        out: dict[int, list[np.ndarray]] = {}
+        for sid in sids:
+            owner = placement.shards[sid].rank
+            pieces = [stacked(owner, sid, cls) for cls in range(width)]
+            if owner in out:
+                pieces = [acc + piece for acc, piece in zip(out[owner], pieces)]
+            out[owner] = pieces
+        return out
+
+    cfg = opts.tower_modules
+    layout_blocks: list[tuple[str, int, int]] = []
+    dest_blocks: dict[int, list[np.ndarray]] = {}
+    tm_work = 0.0
     for tower in range(num_towers):
         group = layout.tower_ranks(tower, topo)
-        feats = features_by_tower[tower]
+        feats = [f for f in plan.features_of(tower) if f in batch.pooling]
 
-        def stacked(owner: int, sid: int, cls: int) -> np.ndarray:
-            members = class_members(cls, topo, layout)
-            return np.concatenate(
-                [blocks[owner][sid][position_of(p)] for p in members], axis=0
-            )
-
-        sends = {}
-        for owner in group:
-            payloads = []
-            for cls in range(width):
-                bundle = [
+        # Step d: one collective per tower assembling full-width embeddings
+        # for each destination class on that class's local rank. Each
+        # member's bundles are dropped once assembled, so no payload
+        # outlives its tower.
+        sends = {
+            owner: [
+                [
                     Tagged(sid, stacked(owner, sid, cls))
                     for sid in blocks[owner]
-                    if placement.shards[sid].table_id not in rs_tables
+                    if placement.shards[sid].table_id not in rs_shards
                 ]
-                payloads.append(bundle)
-            sends[owner] = payloads
+                for cls in range(width)
+            ]
+            for owner in group
+        }
         received = all_to_all(group, sends, "d", trace)
-
-        rs_results: dict[int, dict[int, np.ndarray]] = {}
+        del sends
+        assembled = {m: _assemble(received.pop(m), placement) for m in group}
         for feat in feats:
-            if feat not in rs_tables:
-                continue
-            contrib: dict[int, list[Optional[np.ndarray]]] = {}
-            for sid, shard in enumerate(placement.shards):
-                if shard.table_id != feat:
-                    continue
-                partials = contrib.setdefault(shard.rank, [None] * width)
-                for cls in range(width):
-                    piece = stacked(shard.rank, sid, cls)
-                    if partials[cls] is None:
-                        partials[cls] = piece
-                    else:
-                        partials[cls] = partials[cls] + piece
-            rs_results[feat] = reduce_scatter(group, contrib, "d", trace)
+            if feat in rs_shards:
+                summed = reduce_scatter(group, partials(rs_shards[feat]), "d", trace)
+                for member in group:
+                    assembled[member][feat] = summed[member]
 
-        for cls, member in enumerate(group):
-            for feat in feats:
-                if feat in rs_tables:
-                    assembled[member][feat] = rs_results[feat][member]
-                else:
-                    pieces = []
-                    for bundle in received[member]:
-                        for tagged in bundle:
-                            shard = placement.shards[tagged.tag]
-                            if shard.table_id == feat:
-                                pieces.append((shard, tagged.data))
-                    assembled[member][feat] = _combine_pieces(pieces)
-
-    # Step e: regroup from (feature, destination) to (destination, feature)
-    # and apply the tower module per destination block.
-    tm_info = _resolve_tower_modules(
-        plan, placement, opts, batch_size, features_by_tower
-    )
-    dest_blocks: dict[int, list[np.ndarray]] = {}
-    tm_work = {r: 0.0 for r in range(topo.world_size)}
-    for rank in range(topo.world_size):
-        tower = layout.tower_of_rank(rank, topo)
-        feats = features_by_tower[tower]
-        cfg, weights, _, flops_one = tm_info[tower]
-        per_dest = []
-        for j in range(num_towers):
-            rows = slice(j * batch_size, (j + 1) * batch_size)
-            feature_mats = [assembled[rank][f][rows] for f in feats]
-            if cfg.kind != PASSTHROUGH:
-                stacked_feats = (
-                    np.stack(feature_mats, axis=1)
-                    if feature_mats
-                    else np.zeros((batch_size, 0, 1))
+        # Step e: regroup from (feature, destination) to (destination,
+        # feature) and apply the tower module per destination block.
+        if cfg.kind == PASSTHROUGH:
+            layout_blocks.extend(("feature", f, placement.tables[f].dim) for f in feats)
+        else:
+            dims = {placement.tables[f].dim for f in feats}
+            if len(dims) > 1:
+                raise PlanError(
+                    f"tower {tower} mixes embedding dims {sorted(dims)}; "
+                    "tower modules need one dim per tower"
                 )
-                per_dest.append(tm_forward(stacked_feats, cfg, weights))
-                tm_work[rank] += flops_one
-            elif feature_mats:
-                per_dest.append(np.concatenate(feature_mats, axis=1))
-            else:
-                per_dest.append(np.zeros((batch_size, 0)))
-        dest_blocks[rank] = per_dest
+            in_dim = dims.pop() if dims else 1
+            weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
+            # Each rank of the tower runs one forward per destination tower.
+            flops_one = tm_flops(cfg, len(feats), in_dim, batch_size)
+            tm_work = max(tm_work, num_towers * flops_one)
+            tower_width = tm_output_width(cfg, len(feats), in_dim)
+            layout_blocks.append(("tower", tower, tower_width))
+        for rank in group:
+            per_dest = []
+            for j in range(num_towers):
+                rows = slice(j * batch_size, (j + 1) * batch_size)
+                mats = [assembled[rank][f][rows] for f in feats]
+                if cfg.kind == PASSTHROUGH:
+                    per_dest.append(
+                        np.concatenate(mats, axis=1) if mats else np.zeros((batch_size, 0))
+                    )
+                else:
+                    embs = np.stack(mats, axis=1) if mats else np.zeros((batch_size, 0, 1))
+                    per_dest.append(tm_forward(embs, cfg, weights))
+            dest_blocks[rank] = per_dest
 
     # Step f: concurrent per-class all-to-alls, world size = tower count.
     outputs: dict[int, np.ndarray] = {}
-    schedule = list(step_f_schedule) if step_f_schedule is not None else list(range(width))
-    if sorted(schedule) != list(range(width)):
-        raise DomainError("step_f_schedule must be a permutation of the classes")
-    for cls in schedule:
-        group = class_members(cls, topo, layout)
-        sends = {member: dest_blocks[member] for member in group}
-        received = all_to_all(group, sends, "f", trace)
+    for group in members:
+        received = all_to_all(group, {m: dest_blocks[m] for m in group}, "f", trace)
         for member in group:
             outputs[member] = np.concatenate(received[member], axis=1)
 
-    layout_blocks: list[tuple[str, int, int]] = []
-    for tower in range(num_towers):
-        cfg, _, tower_width, _ = tm_info[tower]
-        if cfg.kind != PASSTHROUGH:
-            layout_blocks.append(("tower", tower, tower_width))
-        else:
-            layout_blocks.extend(
-                ("feature", f, placement.tables[f].dim)
-                for f in features_by_tower[tower]
-            )
-    flops = {"b": max(lookup_flops.values()), "e": max(tm_work.values())}
+    flops = {"b": max(lookup_flops.values()), "e": tm_work}
     return ExchangeResult(outputs, OutputLayout(tuple(layout_blocks)), trace, flops)
 
 

@@ -8,7 +8,6 @@ from towersim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_MISMATCH,
-    EXIT_NUMERIC,
     EXIT_OK,
     load_config,
     main,
@@ -47,6 +46,16 @@ def test_verify_exact_match(tmp_path, capsys):
     assert (out / "trace.log").exists()
     assert (out / "baseline_trace.log").exists()
     assert "exact match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["dlrm", "dcn"])
+def test_verify_rejects_tower_modules(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, {"tm": {"kind": kind}})
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "verify"])
+    assert code == EXIT_CONFIG
+    assert "tm.kind" in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
 
 
 def test_verify_rerun_is_byte_identical(tmp_path):
@@ -183,15 +192,16 @@ def test_non_numeric_config_value_names_field(tmp_path, rng, capsys, command, ov
     assert "config error" in err and field in err
 
 
-def test_partition_nan_embedding_is_numeric_error(tmp_path, rng, capsys):
+def test_partition_nan_embedding_is_ingestion_error(tmp_path, rng, capsys):
     features = blobs_csv(tmp_path, rng)
     with open(features, "a") as fh:
         fh.write(",".join(["nan"] * 8) + "\n")
+    lineno = len(features.read_text().splitlines())
     cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": 300}})
     code = main(["--config", str(cfg), "--out", str(tmp_path / "part"),
                  "partition", "--embeddings", str(features)])
-    assert code == EXIT_NUMERIC
-    assert "numeric error" in capsys.readouterr().err
+    assert code == EXIT_IO
+    assert f"{features}:{lineno}: non-finite" in capsys.readouterr().err
 
 
 def test_partition_singleton_towers(tmp_path, rng):
@@ -261,6 +271,9 @@ def test_ingestion_errors(tmp_path, capsys):
     np.zeros(5, dtype="<f4").tofile(raw)
     (tmp_path / "x.f32.meta").write_text("2 3")
     with pytest.raises(IngestionError, match="expected 6"):
+        read_embeddings(str(raw))
+    np.array([0, 1, 2, 3, np.inf, 5], dtype="<f4").tofile(raw)
+    with pytest.raises(IngestionError, match="row 2 has a non-finite value"):
         read_embeddings(str(raw))
     cfg = write_config(tmp_path)
     code = main(["--config", str(cfg), "partition", "--embeddings", str(bad)])

@@ -35,7 +35,8 @@ def test_world_two_closed_form():
 
 
 def test_intra_uses_scaleup_terms():
-    params = flat_params(alpha_up=1e-6, beta_up=2e9)
+    with pytest.warns(UserWarning, match="scale-up"):
+        params = flat_params(alpha_up=1e-6, beta_up=2e9)
     got = collective_latency("reducescatter", 4, 800.0, "intra", params)
     assert got == pytest.approx(1e-6 + 600.0 / 2e9)
 

@@ -13,7 +13,6 @@ from towersim.embedding import (
     ShardedEmbedding,
     TablePlan,
     init_table_deterministic,
-    load_table_csv,
     lookup,
     make_batch,
     shard_tables,
@@ -174,14 +173,6 @@ def test_make_batch_deterministic_and_valid():
     for rank in range(4):
         for bag in a.bags[rank][3]:
             assert len(bag) == 2
-
-
-def test_load_table_csv(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n")
-    table = load_table_csv(path, 7)
-    assert table.table_id == 7
-    assert np.array_equal(table.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_bags_layout_and_iteration():

@@ -3,6 +3,13 @@ import pytest
 from conftest import build_run, direct_lookup_oracle
 
 from towersim.cli import equivalence_check, random_config
+from towersim.embedding import (
+    ROW_WISE,
+    TablePlan,
+    init_table_deterministic,
+    make_batch,
+    shard_tables,
+)
 from towersim.errors import LayoutError, PlanError
 from towersim.exchange import (
     ExchangeOptions,
@@ -11,6 +18,7 @@ from towersim.exchange import (
     realign,
     tower_exchange,
 )
+from towersim.topology import ClusterTopology, TowerLayout
 from towersim.towermod import TMConfig, tm_output_width
 
 
@@ -100,6 +108,8 @@ def test_flag_invariance_outputs_identical():
     reference = outputs[0]
     for other in outputs[1:]:
         assert other.layout == reference.layout
+        assert other.trace.entries == reference.trace.entries
+        assert other.trace.groups == reference.trace.groups
         for rank in reference.outputs:
             assert np.array_equal(other.outputs[rank], reference.outputs[rank])
 
@@ -121,18 +131,35 @@ def test_rowwise_reducescatter_equivalence_and_bytes():
     assert with_rs.trace.byte_totals("d") == without_rs.trace.byte_totals("d")
 
 
-def test_step_f_schedule_independence():
-    topo, layout, tables, batch, placement, plan = build_run(
-        num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4
+def test_rowwise_reducescatter_presums_shards_of_one_owner():
+    # 4 row shards per table over a 2-rank tower: each rank owns two row
+    # shards of every table, which the reduce-scatter pre-sums before sending.
+    topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
+    layout = TowerLayout(num_towers=2)
+    tables = {t: init_table_deterministic(t, 12, 3, 0, True) for t in range(4)}
+    assignment = {0: 0, 1: 0, 2: 1, 3: 1}
+    placement = shard_tables(
+        tables, {t: TablePlan(ROW_WISE, 4, assignment[t]) for t in tables}, topo, layout
     )
-    forward = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    backward = tower_exchange(
-        batch, placement, plan, topo, ExchangeOptions(),
-        step_f_schedule=[1, 0],
-    )
-    for rank in forward.outputs:
-        assert np.array_equal(forward.outputs[rank], backward.outputs[rank])
-    assert forward.trace.byte_totals("f") == backward.trace.byte_totals("f")
+    for t in tables:
+        owners = sorted(s.rank for s in placement.shards_of(t))
+        assert owners == sorted(2 * layout.tower_ranks(assignment[t], topo))
+    batch = make_batch(topo, tables, 3, {t: (0, 5) for t in tables}, 7)
+    plan = TowerPlan(layout, assignment)
+    base = baseline_exchange(batch, placement, topo)
+    results = [
+        tower_exchange(
+            batch, placement, plan, topo, ExchangeOptions(rowwise_reducescatter=rs)
+        )
+        for rs in (True, False)
+    ]
+    for result in results:
+        realigned = realign(result, [0, 1, 2, 3])
+        for rank in base.outputs:
+            assert np.array_equal(realigned.outputs[rank], base.outputs[rank])
+    with_rs, without_rs = (r.trace.byte_totals("d") for r in results)
+    assert with_rs == (576, 0)
+    assert without_rs == (1152, 0)
 
 
 def test_step_d_intra_host_only_single_host_towers():
