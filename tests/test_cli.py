@@ -74,6 +74,67 @@ def test_verify_random_sweep(tmp_path, capsys):
     assert "10/10 exact" in capsys.readouterr().out
 
 
+GOLDEN_TRACE = """\
+a	0	0	12	self
+a	0	1	8	intra_host
+a	0	2	0	cross_host
+a	0	3	12	cross_host
+a	1	0	4	intra_host
+a	1	1	12	self
+a	1	2	8	cross_host
+a	1	3	12	cross_host
+a	2	0	0	cross_host
+a	2	1	8	cross_host
+a	2	2	4	self
+a	2	3	12	intra_host
+a	3	0	4	cross_host
+a	3	1	12	cross_host
+a	3	2	8	intra_host
+a	3	3	8	self
+d	0	0	0	self
+d	0	1	0	intra_host
+d	1	0	0	intra_host
+d	1	1	0	self
+d	0	0	16	self
+d	0	1	16	intra_host
+d	1	0	16	intra_host
+d	1	1	16	self
+d	2	2	0	self
+d	2	3	0	intra_host
+d	3	2	0	intra_host
+d	3	3	0	self
+d	2	2	16	self
+d	2	3	16	intra_host
+d	3	2	16	intra_host
+d	3	3	16	self
+f	0	0	16	self
+f	0	2	16	cross_host
+f	2	0	16	cross_host
+f	2	2	16	self
+f	1	1	16	self
+f	1	3	16	cross_host
+f	3	1	16	cross_host
+f	3	3	16	self
+"""
+
+
+def test_verify_trace_log_golden(tmp_path):
+    # Every line of one tower trace. Multi-hot [0, 3] bags make some step-a
+    # messages empty, and they are logged at 0 bytes; the step-d
+    # all-to-alls carry no payload because every table goes through a
+    # reduce-scatter. Each table has one row shard, so one member of each
+    # 2-rank tower contributes nothing to a reduce-scatter and logs no line.
+    cfg = write_config(tmp_path, {
+        "tables": {"rows": 8, "dim": 2, "hotness": [0, 3],
+                   "sharding": "row_wise", "shards_per_table": 1},
+        "batch": {"local_size": 1},
+        "exchange": {"rowwise_reducescatter": True},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+    assert (out / "trace.log").read_text() == GOLDEN_TRACE
+
+
 def test_verify_with_assignment_file(tmp_path):
     cfg = write_config(tmp_path)
     assignment = tmp_path / "assignment.txt"

@@ -109,6 +109,26 @@ def test_reduce_scatter_two_term_sum():
     assert list(trace.groups["d"]) == [(0, 1)]
 
 
+def test_reduce_scatter_trace_lines_destination_outer(tmp_path):
+    # Lines run destinations outer, sources inner, both in group order; a
+    # rank missing from ``sends`` and a None shard log no line.
+    topo = two_host_topo()
+    sends = {
+        3: [np.zeros(1), np.zeros(2), np.zeros(3)],
+        1: [np.zeros(1), None, np.zeros(3)],
+    }
+    trace = CommTrace(topo)
+    reduce_scatter([3, 0, 1], sends, "d", trace)
+    trace.save(tmp_path / "trace.log")
+    assert (tmp_path / "trace.log").read_text() == (
+        "d\t3\t3\t4\tself\n"
+        "d\t1\t3\t4\tcross_host\n"
+        "d\t3\t0\t8\tcross_host\n"
+        "d\t3\t1\t12\tcross_host\n"
+        "d\t1\t1\t12\tself\n"
+    )
+
+
 def test_reduce_scatter_single_rank_identity():
     topo = ClusterTopology(num_hosts=1, ranks_per_host=1)
     out = reduce_scatter([0], {0: [np.array([5.0])]}, "d", CommTrace(topo))
