@@ -39,7 +39,7 @@ from .partitioner import (
     partition_score,
 )
 from .simnet import CommTrace, all_to_all, reduce_scatter
-from .topology import ClusterTopology, TowerLayout, link_class, peer_order, peers
+from .topology import ClusterTopology, TowerLayout, link_classes, peer_order, peers
 from .towermod import (
     TMConfig,
     compression_ratio,

@@ -540,9 +540,9 @@ def read_embeddings(path: str) -> np.ndarray:
         if not rows:
             raise IngestionError(f"{path}: empty")
         width = len(rows[0])
-        for lineno, row in enumerate(rows, start=1):
+        for lineno, row in zip(linenos, rows):
             if len(row) != width:
-                raise IngestionError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+                raise IngestionError(f"{path}:{lineno}: {len(row)} columns, expected {width}")
         data = np.array(rows, dtype=np.float64)
         bad = _nonfinite_row(data)
         if bad is not None:

@@ -3,12 +3,13 @@
 A collective over w ranks moving S bytes per rank costs
 alpha + S * (w-1)/w / (beta * efficiency(w)); efficiency is a non-increasing
 table keyed by world size (collective throughput degrades as groups grow).
-Every collective registers its rank group on the trace it writes to, so a
-trace carries its own collective structure: each group is costed at its own
-size, on the scale-out link when its ranks sit on more than one host and on
-the scale-up link otherwise. Disjoint concurrent groups of one step label
-(the per-tower step-d and per-class step-f collectives) cost their maximum,
-not their sum, because they use disjoint links under full-bisection networks.
+A trace is a list of collectives, each with its rank group and its matrix of
+message sizes, so it carries its own structure: each (label, group) pair is
+costed as one collective at the group's size, on the scale-out link when its
+ranks sit on more than one host and on the scale-up link otherwise. Disjoint
+concurrent groups of one step label (the per-tower step-d and per-class
+step-f collectives) cost their maximum, not their sum, because they use
+disjoint links under full-bisection networks.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, ReportError
 from .simnet import CommTrace
 from .topology import ClusterTopology
-
-ALLTOALL = "alltoall"
-REDUCESCATTER = "reducescatter"
 
 INTRA = "intra"
 CROSS = "cross"
@@ -88,15 +88,13 @@ def efficiency_at(table: dict[int, float], world: int) -> float:
 
 
 def collective_latency(
-    kind: str, world: int, per_rank_bytes: float, link: str, params: CostParams
+    world: int, per_rank_bytes: float, link: str, params: CostParams
 ) -> float:
     """Seconds for one collective; single-rank groups are free.
 
-    Both kinds share one formula: an all-to-all and a reduce-scatter each
-    put (w-1)/w of a rank's bytes on the wire.
+    All-to-all and reduce-scatter share this formula: each puts (w-1)/w of a
+    rank's bytes on the wire.
     """
-    if kind not in (ALLTOALL, REDUCESCATTER):
-        raise DomainError(f"unknown collective kind {kind!r}")
     if link not in (INTRA, CROSS):
         raise DomainError(f"unknown link {link!r}")
     if world < 1:
@@ -133,32 +131,24 @@ def pipeline_cost(
 ) -> CostBreakdown:
     """Cost a traced exchange run.
 
-    Per step label, each rank group registered on the trace is one
-    collective, costed at its size with the maximum bytes any of its ranks
-    sent under that label, on the cross-host link if its ranks span hosts;
-    concurrent groups of one label contribute their maximum. A label with
-    messages but no registered group raises ReportError. ``flops`` adds
-    compute seconds for the local steps (lookup "b", tower modules "e").
+    Per step label, the collectives over one rank group are costed as one
+    collective at the group's size, with the maximum bytes any of its ranks
+    sent in them, on the cross-host link if its ranks span hosts; concurrent
+    groups of one label contribute their maximum. ``flops`` adds compute
+    seconds for the local steps (lookup "b", tower modules "e").
     """
+    sent: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+    for c in trace.collectives:
+        key = (c.label, c.group)
+        sent[key] = sent.get(key, 0) + c.nbytes.sum(axis=1)
     per_step: dict[str, float] = {}
-    exposed = 0.0
-    for label in trace.labels():
-        groups = trace.groups.get(label)
-        if not groups:
-            raise ReportError(f"step {label!r} has messages outside any collective")
-        sent = trace.sent_by_rank(label)
-        worst = 0.0
-        for group in groups:
-            per_rank = max(sent.get(r, 0) for r in group)
-            if per_rank == 0:
-                continue
-            hosts = {topo.host_of(r) for r in group}
-            link = CROSS if len(hosts) > 1 else INTRA
-            worst = max(
-                worst, collective_latency(ALLTOALL, len(group), per_rank, link, params)
-            )
-        per_step[label] = worst
-        exposed += worst
+    for (label, group), rows in sent.items():
+        seconds = 0.0
+        if rows.max() > 0:
+            link = CROSS if len({topo.host_of(r) for r in group}) > 1 else INTRA
+            seconds = collective_latency(len(group), int(rows.max()), link, params)
+        per_step[label] = max(per_step.get(label, 0.0), seconds)
+    exposed = sum(per_step.values())
     compute = 0.0
     for label, work in (flops or {}).items():
         if label not in _COMPUTE_STEPS:

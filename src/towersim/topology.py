@@ -9,6 +9,9 @@ tower-transformed exchange communicates across hosts with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -132,12 +135,10 @@ def class_members(cls: int, topo: ClusterTopology, layout: TowerLayout) -> list[
     return [t * width + cls for t in range(layout.num_towers)]
 
 
-def link_class(src: int, dst: int, topo: ClusterTopology) -> str:
-    """Classify a (src, dst) pair as self, intra_host, or cross_host."""
-    topo.check_rank(src)
-    topo.check_rank(dst)
-    if src == dst:
-        return SELF
-    if src // topo.ranks_per_host == dst // topo.ranks_per_host:
-        return INTRA_HOST
-    return CROSS_HOST
+def link_classes(group: Sequence[int], topo: ClusterTopology) -> np.ndarray:
+    """Link class (self, intra_host or cross_host) of every (src, dst) pair
+    of a group of distinct ranks, as a square array indexed by position."""
+    host = np.array([topo.host_of(rank) for rank in group])
+    links = np.where(host[:, None] == host[None, :], INTRA_HOST, CROSS_HOST)
+    np.fill_diagonal(links, SELF)
+    return links

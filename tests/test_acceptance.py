@@ -316,7 +316,7 @@ def test_criterion_9_cost_model_trends():
         params = CostParams(efficiency=dict(zip(worlds, factors)))
         sizes = sorted(set(int(w) for w in rng.integers(1, 600, size=10)))
         latencies = [
-            collective_latency("alltoall", w, 1e6, "cross", params) for w in sizes
+            collective_latency(w, 1e6, "cross", params) for w in sizes
         ]
         assert all(b >= a - 1e-18 for a, b in zip(latencies, latencies[1:]))
     announce(9, "host sweep speedup non-decreasing; step-f time strictly falls with CR; "

@@ -325,8 +325,8 @@ def test_ingestion_errors(tmp_path, capsys):
     with pytest.raises(IngestionError, match="bad.csv:2"):
         read_embeddings(str(bad))
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(IngestionError, match="columns"):
+    ragged.write_text("a,b\n1.0,2.0\n\n3.0\n")  # the short row is data row 2, line 4
+    with pytest.raises(IngestionError, match="ragged.csv:4: 1 columns, expected 2"):
         read_embeddings(str(ragged))
     raw = tmp_path / "x.f32"
     np.zeros(5, dtype="<f4").tofile(raw)

@@ -62,10 +62,10 @@ def test_all_to_all_wire_bytes_enumeration():
     assert (intra, cross) == (32, 64)
     assert intra + cross == 96
     assert len(trace.entries) == 16
-    # Each label keeps its distinct groups once, in first-use order.
+    # One record per collective, in the order they ran.
     all_to_all([2, 3], {r: [payload] * 2 for r in (2, 3)}, "x", trace)
     all_to_all(group, {r: [payload] * 4 for r in group}, "x", trace)
-    assert list(trace.groups["x"]) == [(0, 1, 2, 3), (2, 3)]
+    assert [c.group for c in trace.collectives] == [(0, 1, 2, 3), (2, 3), (0, 1, 2, 3)]
 
 
 def test_all_to_all_errors():
@@ -76,22 +76,22 @@ def test_all_to_all_errors():
         all_to_all([0, 1], {0: [None], 1: [None, None]}, "x", trace)
     with pytest.raises(DomainError):
         all_to_all([0, 0], {0: [None, None]}, "x", trace)
-    assert trace.groups == {}  # a rejected collective registers no group
+    assert trace.collectives == []  # a rejected collective records nothing
 
 
 def test_byte_totals_empty_and_self_only():
     topo = two_host_topo()
     trace = CommTrace(topo)
     assert trace.byte_totals() == (0, 0)
-    trace.record("x", 1, 1, 64)
+    all_to_all([1], {1: [np.zeros(16)]}, "x", trace)
     assert trace.byte_totals() == (0, 0)
 
 
 def test_byte_totals_label_filter():
     topo = two_host_topo()
     trace = CommTrace(topo)
-    trace.record("a", 0, 1, 8)
-    trace.record("b", 0, 2, 8)
+    all_to_all([0, 1], {0: [None, np.zeros(2)], 1: [None, None]}, "a", trace)
+    all_to_all([0, 2], {0: [None, np.zeros(2)], 2: [None, None]}, "b", trace)
     assert trace.byte_totals("a") == (8, 0)
     assert trace.byte_totals("b") == (0, 8)
     assert trace.byte_totals() == (8, 8)
@@ -106,7 +106,9 @@ def test_reduce_scatter_two_term_sum():
     out = reduce_scatter([0, 1], sends, "d", trace)
     assert np.array_equal(out[0], [4.0, 6.0])
     assert np.array_equal(out[1], [18.0, 18.0])
-    assert list(trace.groups["d"]) == [(0, 1)]
+    [record] = trace.collectives
+    assert (record.label, record.group) == ("d", (0, 1))
+    assert record.nbytes.tolist() == [[8, 8], [8, 8]]
 
 
 def test_reduce_scatter_trace_lines_destination_outer(tmp_path):
@@ -166,8 +168,10 @@ def test_reduce_scatter_matches_gather_sum_oracle(rng):
 def test_reduce_scatter_shape_mismatch():
     topo = two_host_topo(1)
     sends = {0: [np.zeros(2), np.zeros(2)], 1: [np.zeros(3), np.zeros(2)]}
+    trace = CommTrace(topo)
     with pytest.raises(ShapeError):
-        reduce_scatter([0, 1], sends, "d", CommTrace(topo))
+        reduce_scatter([0, 1], sends, "d", trace)
+    assert trace.collectives == []
 
 
 def test_reduce_scatter_missing_destination():
@@ -203,14 +207,3 @@ def test_determinism():
         for a, b in zip(out1[rank], out2[rank]):
             assert np.array_equal(a, b)
 
-
-def test_trace_save_load_roundtrip(tmp_path):
-    topo = two_host_topo()
-    trace = CommTrace(topo)
-    trace.record("a", 0, 1, 16)
-    trace.record("f", 2, 0, 8)
-    path = tmp_path / "trace.log"
-    trace.save(path)
-    loaded = CommTrace.load(path, topo)
-    assert loaded.entries == trace.entries
-    assert path.read_text() == "a\t0\t1\t16\tintra_host\nf\t2\t0\t8\tcross_host\n"

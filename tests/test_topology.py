@@ -6,7 +6,7 @@ from towersim.topology import (
     TowerLayout,
     class_members,
     class_order,
-    link_class,
+    link_classes,
     peer_order,
     peers,
 )
@@ -95,12 +95,17 @@ def test_class_order_matches_peer_order_when_square():
 
 
 def test_link_class():
-    topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    assert link_class(0, 1, topo) == "intra_host"
-    assert link_class(0, 2, topo) == "cross_host"
-    assert link_class(3, 3, topo) == "self"
+    topo = ClusterTopology(num_hosts=3, ranks_per_host=2)
+    group = [5, 0, 1, 4, 2]  # group order need not be rank order
+    links = link_classes(group, topo)
+    assert links.shape == (5, 5)
+    assert links[1, 2] == links[2, 1] == "intra_host"  # ranks 0 and 1
+    assert links[0, 3] == "intra_host"  # ranks 5 and 4
+    assert links[1, 4] == links[0, 1] == "cross_host"
+    assert [links[i, i] for i in range(5)] == ["self"] * 5
+    assert (links == "intra_host").sum() == 4
     with pytest.raises(DomainError):
-        link_class(0, 9, topo)
+        link_classes([0, 6], topo)
 
 
 def test_layout_validation():
