@@ -361,16 +361,18 @@ class RunContext:
 def compare_exact(
     baseline: exchange.ExchangeResult, tower: exchange.ExchangeResult
 ) -> Optional[tuple[int, int, int, float, float]]:
-    """First differing (rank, row, col, baseline, tower) after realign, or None."""
+    """First differing (rank, row, col, baseline, tower), realigning rank by rank, or None."""
     target = [ident for _, ident, _ in baseline.layout.blocks]
-    realigned = exchange.realign(tower, target)
+    columns = exchange.feature_columns(tower.layout, target)
     for rank in sorted(baseline.outputs):
-        a, b = baseline.outputs[rank], realigned.outputs[rank]
+        a = baseline.outputs[rank]
+        b = np.concatenate([tower.outputs[rank][:, cols] for cols in columns], axis=1)
         if a.shape != b.shape:
             return (rank, -1, -1, float(a.shape[0]), float(b.shape[0]))
         if not np.array_equal(a, b):
             row, col = np.argwhere(a != b)[0]
             return (rank, int(row), int(col), float(a[row, col]), float(b[row, col]))
+        del b  # before the next rank's copy is made
     return None
 
 
@@ -644,14 +646,12 @@ def cost_one(cfg: dict) -> dict[str, float]:
     """Cost both pipelines for one config; returns the sweep.csv row."""
     ctx = RunContext(cfg)
     params = build_cost_params(cfg)
+    # Costing reads only traces and flops: drop each pipeline's outputs early.
     baseline = ctx.run_baseline()
+    base_cost = costmodel.pipeline_cost(baseline.trace, params, flops=baseline.flops)
+    del baseline
     tower = ctx.run_tower()
-    base_cost = costmodel.pipeline_cost(
-        baseline.trace, ctx.topo, params, flops=baseline.flops
-    )
-    tower_cost = costmodel.pipeline_cost(
-        tower.trace, ctx.topo, params, flops=tower.flops
-    )
+    tower_cost = costmodel.pipeline_cost(tower.trace, params, flops=tower.flops)
     report = costmodel.speedup_report(base_cost, tower_cost)
     return {
         "num_hosts": ctx.topo.num_hosts,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, ReportError
 from .simnet import CommTrace
-from .topology import ClusterTopology
 
 INTRA = "intra"
 CROSS = "cross"
@@ -125,7 +124,6 @@ _COMPUTE_STEPS = ("b", "e")
 
 def pipeline_cost(
     trace: CommTrace,
-    topo: ClusterTopology,
     params: CostParams,
     flops: Optional[dict[str, float]] = None,
 ) -> CostBreakdown:
@@ -145,7 +143,7 @@ def pipeline_cost(
     for (label, group), rows in sent.items():
         seconds = 0.0
         if rows.max() > 0:
-            link = CROSS if len({topo.host_of(r) for r in group}) > 1 else INTRA
+            link = CROSS if len({trace.topo.host_of(r) for r in group}) > 1 else INTRA
             seconds = collective_latency(len(group), int(rows.max()), link, params)
         per_step[label] = max(per_step.get(label, 0.0), seconds)
     exposed = sum(per_step.values())

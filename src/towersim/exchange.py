@@ -13,7 +13,8 @@ concurrent per-class all-to-alls whose world size is the tower count
 (step f).
 
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
-contribute flops only.
+contribute flops only. The tower pipeline releases each buffer once the next
+step has consumed it, so it holds its outputs plus one tower in flight.
 """
 
 from __future__ import annotations
@@ -101,8 +102,11 @@ class ExchangeResult:
 def _combine_pieces(pieces: list[tuple]) -> np.ndarray:
     """Assemble one feature from (shard, matrix) pieces.
 
-    Column/table shards concatenate in column order; row shards sum.
+    Column/table shards concatenate in column order; row shards sum. A lone
+    piece is returned uncopied, so callers must not write into the result.
     """
+    if len(pieces) == 1:
+        return pieces[0][1]
     schemes = {shard.scheme for shard, _ in pieces}
     if schemes == {ROW_WISE}:
         ordered = sorted(pieces, key=lambda sm: sm[0].row_range)
@@ -247,7 +251,10 @@ def tower_exchange(
 
     Output columns group features by tower (towers ascending, features by id
     inside each tower); realign() maps back to feature-id order for
-    comparison against the baseline.
+    comparison against the baseline. Step d releases its tower's step-b
+    lookups and step e its step-d bundles; step f releases each destination
+    block as its class all-to-all takes it, and each receiver's blocks as
+    they are concatenated.
     """
     batch.validate(placement.tables)
     layout = plan.layout
@@ -350,6 +357,8 @@ def tower_exchange(
                 summed = reduce_scatter(group, partials(rs_shards[feat]), "d", trace)
                 for member in group:
                     assembled[member][feat] = summed[member]
+        for owner in group:  # owners sit in one tower only
+            del blocks[owner]
 
         # Step e: regroup from (feature, destination) to (destination,
         # feature) and apply the tower module per destination block.
@@ -382,37 +391,40 @@ def tower_exchange(
                     embs = np.stack(mats, axis=1) if mats else np.zeros((batch_size, 0, 1))
                     per_dest.append(tm_forward(embs, cfg, weights))
             dest_blocks[rank] = per_dest
+        del assembled
 
     # Step f: concurrent per-class all-to-alls, world size = tower count.
     outputs: dict[int, np.ndarray] = {}
     for group in members:
-        received = all_to_all(group, {m: dest_blocks[m] for m in group}, "f", trace)
+        received = all_to_all(group, {m: dest_blocks.pop(m) for m in group}, "f", trace)
         for member in group:
-            outputs[member] = np.concatenate(received[member], axis=1)
+            outputs[member] = np.concatenate(received.pop(member), axis=1)
 
     flops = {"b": max(lookup_flops.values()), "e": tm_work}
     return ExchangeResult(outputs, OutputLayout(tuple(layout_blocks)), trace, flops)
 
 
-def realign(result: ExchangeResult, target_feature_order: Sequence[int]) -> ExchangeResult:
-    """Reorder output columns into a target feature order (no wire traffic)."""
-    widths = result.layout.feature_widths()
+def feature_columns(layout: OutputLayout, target_feature_order: Sequence[int]) -> list[slice]:
+    """Column slices of ``layout``'s features, in a target feature order."""
+    widths = layout.feature_widths()
     if sorted(target_feature_order) != sorted(widths):
         raise LayoutError(
             f"target features {sorted(target_feature_order)} != "
             f"layout features {sorted(widths)}"
         )
-    starts = {}
-    col = 0
-    for _, ident, width in result.layout.blocks:
-        starts[ident] = col
-        col += width
+    starts, col = {}, 0
+    for _, ident, width in layout.blocks:
+        starts[ident], col = col, col + width
+    return [slice(starts[f], starts[f] + widths[f]) for f in target_feature_order]
+
+
+def realign(result: ExchangeResult, target_feature_order: Sequence[int]) -> ExchangeResult:
+    """Reorder output columns into a target feature order (no wire traffic)."""
+    columns = feature_columns(result.layout, target_feature_order)
     outputs = {
-        rank: np.concatenate(
-            [mat[:, starts[f]:starts[f] + widths[f]] for f in target_feature_order],
-            axis=1,
-        )
+        rank: np.concatenate([mat[:, cols] for cols in columns], axis=1)
         for rank, mat in result.outputs.items()
     }
+    widths = result.layout.feature_widths()
     layout = OutputLayout(tuple(("feature", f, widths[f]) for f in target_feature_order))
     return ExchangeResult(outputs, layout, result.trace, dict(result.flops))

@@ -437,6 +437,21 @@ def test_compare_exact_reports_first_difference(monkeypatch, tmp_path):
     assert "MISMATCH at rank=1 row=0 col=2" in report
 
 
+def test_compare_exact_reports_baseline_columns_under_strided_towers():
+    from towersim.cli import RunContext, compare_exact, load_config
+
+    ctx = RunContext(load_config(overrides={"layout": {"assignment": "strided"}}))
+    base = ctx.run_baseline()
+    tower = ctx.run_tower()
+    assert [ident for _, ident, _ in tower.layout.blocks] == [0, 2, 1, 3]
+    assert compare_exact(base, tower) is None
+    # Raw column 4 is feature 2's first column; baseline order puts it at 8.
+    tower.outputs[1][0, 4] += 1.0
+    rank, row, col, a, b = compare_exact(base, tower)
+    assert (rank, row, col) == (1, 0, 8)
+    assert b == a + 1.0
+
+
 def test_parse_sweep_forms():
     assert parse_sweep("topology.num_hosts=2..4") == ("topology.num_hosts", [2, 3, 4])
     assert parse_sweep("tm.out_dim=64,32") == ("tm.out_dim", [64, 32])

@@ -108,7 +108,7 @@ def test_latency_monotone_in_world_and_bytes_random_tables(rng):
 
 def test_empty_trace_zero_breakdown():
     topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    breakdown = pipeline_cost(CommTrace(topo), topo, CostParams())
+    breakdown = pipeline_cost(CommTrace(topo), CostParams())
     assert breakdown.total == 0.0
     assert breakdown.per_step == {}
 
@@ -119,7 +119,7 @@ def test_breakdown_totals_are_sums():
     )
     params = CostParams()
     result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    breakdown = pipeline_cost(result.trace, topo, params, flops=result.flops)
+    breakdown = pipeline_cost(result.trace, params, flops=result.flops)
     comm = sum(breakdown.per_step[s] for s in ("a", "d", "f"))
     compute = sum(breakdown.per_step.get(s, 0.0) for s in ("b", "e"))
     assert breakdown.exposed_comm == pytest.approx(comm)
@@ -133,7 +133,7 @@ def test_baseline_step_c_equals_direct_latency():
     )
     params = CostParams()
     result = baseline_exchange(batch, placement, topo)
-    breakdown = pipeline_cost(result.trace, topo, params)
+    breakdown = pipeline_cost(result.trace, params)
     per_rank = max(sent_by_rank(result.trace, "c").values())
     expected = collective_latency(topo.world_size, per_rank, "cross", params)
     assert breakdown.per_step["c"] == pytest.approx(expected)
@@ -145,7 +145,7 @@ def test_step_f_costed_as_concurrent_max():
     )
     params = CostParams()
     result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    breakdown = pipeline_cost(result.trace, topo, params)
+    breakdown = pipeline_cost(result.trace, params)
     sent = sent_by_rank(result.trace, "f")
     per_group = []
     for cls in range(layout.group_width(topo)):
@@ -165,7 +165,7 @@ def test_tower_spanning_hosts_costs_step_d_cross_host():
     )
     params = CostParams()
     result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    breakdown = pipeline_cost(result.trace, topo, params)
+    breakdown = pipeline_cost(result.trace, params)
     per_rank = max(sent_by_rank(result.trace, "d").values())
     width = layout.group_width(topo)
     expected = collective_latency(width, per_rank, "cross", params)
@@ -199,7 +199,7 @@ def test_rowwise_reducescatter_step_d_is_one_collective_per_tower():
         )
         for t in range(layout.num_towers)
     )
-    assert pipeline_cost(result.trace, topo, params).per_step["d"] == pytest.approx(expected)
+    assert pipeline_cost(result.trace, params).per_step["d"] == pytest.approx(expected)
 
 
 def test_compression_shrinks_step_f_time():
@@ -214,8 +214,8 @@ def test_compression_shrinks_step_f_time():
     squeezed = tower_exchange(
         batch, placement, plan, topo, ExchangeOptions(tower_modules=tm)
     )
-    cost_plain = pipeline_cost(plain.trace, topo, params)
-    cost_squeezed = pipeline_cost(squeezed.trace, topo, params)
+    cost_plain = pipeline_cost(plain.trace, params)
+    cost_squeezed = pipeline_cost(squeezed.trace, params)
     assert cost_squeezed.per_step["f"] < cost_plain.per_step["f"]
 
 
@@ -230,15 +230,15 @@ def test_tower_beats_baseline_step_with_decaying_efficiency():
     )
     base = baseline_exchange(batch, placement, topo)
     tower = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
-    cost_base = pipeline_cost(base.trace, topo, params)
-    cost_tower = pipeline_cost(tower.trace, topo, params)
+    cost_base = pipeline_cost(base.trace, params)
+    cost_tower = pipeline_cost(tower.trace, params)
     assert cost_tower.per_step["f"] < cost_base.per_step["c"]
 
 
 def test_unknown_label_rejected():
     topo = ClusterTopology(num_hosts=1, ranks_per_host=2)
     with pytest.raises(ReportError):
-        pipeline_cost(CommTrace(topo), topo, CostParams(), flops={"z": 1.0})
+        pipeline_cost(CommTrace(topo), CostParams(), flops={"z": 1.0})
 
 
 def test_speedup_report_values():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import build_run, direct_lookup_oracle
 
-from towersim.cli import equivalence_check, random_config
+from towersim.cli import compare_exact, equivalence_check, random_config
 from towersim.embedding import (
     ROW_WISE,
     TablePlan,
@@ -339,3 +341,34 @@ def test_step_a_bytes_are_four_per_delivered_index():
             for bag in batch.bags[src][shard.table_id]
         )
         assert nbytes == 4 * delivered
+
+
+def test_verify_holds_one_pipeline_of_outputs():
+    # 4 towers of 4 ranks; 16 table-wise single-hot features x 32 dims.
+    topo, _, _, batch, placement, plan = build_run(
+        num_hosts=4, ranks_per_host=4, dims=(32,), num_tables=16, local_batch=64
+    )
+    output_bytes = topo.world_size * 64 * 16 * 32 * 8
+    tracemalloc.start()
+    try:
+        base = baseline_exchange(batch, placement, topo)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tower = tower_exchange(batch, placement, plan, topo)
+        tower_peak = tracemalloc.get_traced_memory()[1] - live
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mismatch = compare_exact(base, tower)
+        compare_peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert mismatch is None
+    # Baseline outputs stay live outside the measurement; the tower run
+    # holds its outputs plus one tower's working set, and the comparison
+    # one rank's realigned copy.
+    assert tower_peak <= 2.0 * output_bytes
+    assert compare_peak < 2 * output_bytes / topo.world_size
+    # Lone pieces are passed on uncopied, so no output may be a view into a
+    # lookup buffer.
+    for result in (base, tower):
+        assert all(out.base is None for out in result.outputs.values())
