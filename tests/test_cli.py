@@ -468,3 +468,61 @@ def test_load_config_overrides():
     assert cfg["topology"]["num_hosts"] == 4
     with pytest.raises(ConfigError):
         load_config(overrides={"nope": 1})
+
+
+GOLDEN_COST = {
+    "dcn": (
+        {
+            "tables": {"count": 8, "rows": 16, "dim": 4, "hotness": [0, 3],
+                       "sharding": "row_wise", "shards_per_table": 2},
+            "exchange": {"rowwise_reducescatter": True},
+            "tm": {"kind": "dcn", "out_dim": 2, "cross_layers": 2},
+        },
+        "topology.num_hosts=2,4",
+        """\
+config,num_hosts,ranks_per_host,num_towers,compression_ratio,baseline_s,tower_s,speedup,stepf_s
+topology.num_hosts=2,2,2,2,2.0,2.0010680109201212e-05,2.2004854563307495e-05,0.9093757039670911,1.000128e-05
+topology.num_hosts=4,4,2,4,2.0,2.0013300113245703e-05,2.200683197887878e-05,0.9094130464781853,1.0001920000000001e-05
+""",
+        """\
+config=topology.num_hosts=2 pipeline=baseline a=1.0003e-05 b=1.09201213e-13 c=1.000768e-05 comm=2.001068e-05 compute=1.09201213e-13 total=2.00106801e-05
+config=topology.num_hosts=2 pipeline=tower a=1.0003e-05 b=1.09201213e-13 d=2.00056889e-06 e=5.56521739e-12 f=1.000128e-05 comm=2.20048489e-05 compute=5.6744186e-12 total=2.20048546e-05
+config=topology.num_hosts=4 pipeline=baseline a=1.000434e-05 b=1.13245703e-13 c=1.000896e-05 comm=2.00133e-05 compute=1.13245703e-13 total=2.00133001e-05
+config=topology.num_hosts=4 pipeline=tower a=1.000434e-05 b=1.13245703e-13 d=2.00056889e-06 e=2.97674419e-12 f=1.000192e-05 comm=2.20068289e-05 compute=3.08998989e-12 total=2.2006832e-05
+""",
+    ),
+    "dlrm": (
+        {
+            "layout": {"assignment": "strided"},
+            "tables": {"count": 6, "rows": 8, "dim": 4,
+                       "sharding": "column_wise", "shards_per_table": 2},
+            "tm": {"kind": "dlrm", "out_dim": 2, "per_feature_outputs": 1,
+                   "flat_outputs": 1},
+        },
+        "batch.local_size=1,3",
+        """\
+config,num_hosts,ranks_per_host,num_towers,compression_ratio,baseline_s,tower_s,speedup,stepf_s
+batch.local_size=1,2,2,2,1.5,2.0002160024266935e-05,2.2001466885069097e-05,0.9091284744219053,1.0000640000000002e-05
+batch.local_size=3,2,2,2,1.5,2.0006480072800812e-05,2.2004400655207282e-05,0.9092035900585337,1.0001920000000001e-05
+""",
+        """\
+config=batch.local_size=1 pipeline=baseline a=1.000072e-05 b=2.42669363e-14 c=1.000144e-05 comm=2.000216e-05 compute=2.42669363e-14 total=2.000216e-05
+config=batch.local_size=1 pipeline=tower a=1.000072e-05 b=2.42669363e-14 d=2.00010667e-06 e=1.9413549e-13 f=1.000064e-05 comm=2.20014667e-05 compute=2.18402427e-13 total=2.20014669e-05
+config=batch.local_size=3 pipeline=baseline a=1.000216e-05 b=7.28008089e-14 c=1.000432e-05 comm=2.000648e-05 compute=7.28008089e-14 total=2.00064801e-05
+config=batch.local_size=3 pipeline=tower a=1.000216e-05 b=7.28008089e-14 d=2.00032e-06 e=5.82406471e-13 f=1.000192e-05 comm=2.20044e-05 compute=6.5520728e-13 total=2.20044007e-05
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_COST))
+def test_cost_outputs_golden(tmp_path, kind):
+    # Every byte of sweep.csv and breakdown.txt for a small sweep per tower
+    # module: dcn over multi-hot row-wise x2 tables under the reduce-scatter,
+    # dlrm over column-wise x2 tables with strided towers.
+    overrides, sweep, sweep_csv, breakdown = GOLDEN_COST[kind]
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "cost"
+    assert main(["--config", str(cfg), "--out", str(out), "cost", "--sweep", sweep]) == EXIT_OK
+    assert (out / "sweep.csv").read_text() == sweep_csv
+    assert (out / "breakdown.txt").read_text() == breakdown
