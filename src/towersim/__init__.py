@@ -25,12 +25,13 @@ from .exchange import (
     OutputLayout,
     TowerPlan,
     baseline_exchange,
+    baseline_plan,
     realign,
     tower_exchange,
+    tower_plan,
 )
 from .partitioner import (
     TowerAssignment,
-    affinity_from_batch,
     affinity_from_embeddings,
     constrained_kmeans,
     distance_from_affinity,
@@ -39,7 +40,7 @@ from .partitioner import (
     partition_score,
 )
 from .simnet import CommTrace, all_to_all, reduce_scatter
-from .topology import ClusterTopology, TowerLayout, link_classes, peer_order, peers
+from .topology import ClusterTopology, TowerLayout, link_classes, peer_order
 from .towermod import (
     TMConfig,
     compression_ratio,

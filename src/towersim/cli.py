@@ -6,7 +6,8 @@ flags override the top-level keys. Everything is deterministic given the
 config, so re-running a command rewrites its outputs byte for byte.
 
 Exit codes: 0 success, 2 config validation, 3 equivalence mismatch,
-4 numeric failure, 5 I/O or ingestion failure, 1 anything else.
+4 numeric failure, 5 I/O or ingestion failure, 1 anything else. EXIT_CODES
+maps each package error class onto one of them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,21 @@ from .embedding import (
     make_batch,
     shard_tables,
 )
-from .errors import ConfigError, IngestionError, NumericError, TowersimError
+from .errors import (
+    ConfigError,
+    ConstraintError,
+    DomainError,
+    IngestionError,
+    InvariantError,
+    LayoutError,
+    NumericError,
+    PlanError,
+    ProtocolError,
+    ReportError,
+    ShapeError,
+    TableLookupError,
+    TowersimError,
+)
 from .simnet import CommTrace
 from .topology import ClusterTopology, TowerLayout
 from .towermod import PASSTHROUGH, TMConfig
@@ -46,6 +61,25 @@ EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
+
+# (exit code, stderr prefix) of every package error class. Input-constraint
+# errors exit as config errors; internal-invariant errors mean a defect in
+# towersim, not in its input, and exit 1.
+EXIT_CODES: dict[type, tuple[int, str]] = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DomainError: (EXIT_CONFIG, "error"),
+    PlanError: (EXIT_CONFIG, "error"),
+    ConstraintError: (EXIT_CONFIG, "error"),
+    IngestionError: (EXIT_IO, "i/o error"),
+    NumericError: (EXIT_NUMERIC, "numeric error"),
+    InvariantError: (EXIT_ERROR, "error"),
+    LayoutError: (EXIT_ERROR, "error"),
+    ShapeError: (EXIT_ERROR, "error"),
+    ProtocolError: (EXIT_ERROR, "error"),
+    TableLookupError: (EXIT_ERROR, "error"),
+    ReportError: (EXIT_ERROR, "error"),
+    TowersimError: (EXIT_ERROR, "error"),  # a class added without a row
+}
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -338,13 +372,27 @@ class RunContext:
         self.options = build_options(cfg)
         self.plan = exchange.TowerPlan(self.layout, self.assignment)
 
-    def run_baseline(self) -> exchange.ExchangeResult:
-        return exchange.baseline_exchange(self.batch, self.placement, self.topo)
+    def baseline_plan(self) -> tuple[CommTrace, dict[str, float]]:
+        return exchange.baseline_plan(self.batch, self.placement, self.topo)
 
-    def run_tower(self) -> exchange.ExchangeResult:
-        return exchange.tower_exchange(
+    def tower_plan(self) -> tuple[CommTrace, dict[str, float]]:
+        return exchange.tower_plan(
             self.batch, self.placement, self.plan, self.topo, self.options
         )
+
+    def run_baseline(self) -> exchange.ExchangeResult:
+        """The functional baseline run, checked against its plan."""
+        result = exchange.baseline_exchange(self.batch, self.placement, self.topo)
+        exchange.check_plan("baseline", result, self.baseline_plan())
+        return result
+
+    def run_tower(self) -> exchange.ExchangeResult:
+        """The functional tower run, checked against its plan."""
+        result = exchange.tower_exchange(
+            self.batch, self.placement, self.plan, self.topo, self.options
+        )
+        exchange.check_plan("tower", result, self.tower_plan())
+        return result
 
     def compression(self) -> float:
         widths, counts = [], []
@@ -643,15 +691,17 @@ def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
 
 
 def cost_one(cfg: dict) -> dict[str, float]:
-    """Cost both pipelines for one config; returns the sweep.csv row."""
+    """Cost both pipelines' plans for one config; returns the sweep.csv row.
+
+    The plans give the traces and flops the functional runs would, without
+    looking up or moving an embedding.
+    """
     ctx = RunContext(cfg)
     params = build_cost_params(cfg)
-    # Costing reads only traces and flops: drop each pipeline's outputs early.
-    baseline = ctx.run_baseline()
-    base_cost = costmodel.pipeline_cost(baseline.trace, params, flops=baseline.flops)
-    del baseline
-    tower = ctx.run_tower()
-    tower_cost = costmodel.pipeline_cost(tower.trace, params, flops=tower.flops)
+    base_trace, base_flops = ctx.baseline_plan()
+    base_cost = costmodel.pipeline_cost(base_trace, params, flops=base_flops)
+    tower_trace, tower_flops = ctx.tower_plan()
+    tower_cost = costmodel.pipeline_cost(tower_trace, params, flops=tower_flops)
     report = costmodel.speedup_report(base_cost, tower_cost)
     return {
         "num_hosts": ctx.topo.num_hosts,
@@ -802,18 +852,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sweeps = [parse_sweep(s) for s in args.sweep]
             return run_cost(cfg, sweeps, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IngestionError, OSError) as exc:
+    except TowersimError as exc:
+        code, prefix = next(
+            EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES
+        )
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TowersimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # keep the CLI contract: nonzero, named error
         print(f"unexpected error: {exc!r}", file=sys.stderr)
         return EXIT_ERROR

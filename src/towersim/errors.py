@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-cli.main maps these onto the process exit codes listed in the cli module
-docstring.
+cli.main maps each of these onto a process exit code through cli.EXIT_CODES:
+input-constraint errors exit as config errors, internal-invariant errors
+exit 1.
 """
 
 
@@ -51,3 +52,7 @@ class IngestionError(TowersimError, ValueError):
 
 class ReportError(TowersimError, ValueError):
     """A trace or breakdown could not be interpreted (unknown step label, ...)."""
+
+
+class InvariantError(TowersimError, RuntimeError):
+    """An internal consistency check failed: a defect in towersim, not in its input."""

@@ -15,10 +15,17 @@ concurrent per-class all-to-alls whose world size is the tower count
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
 contribute flops only. The tower pipeline releases each buffer once the next
 step has consumed it, so it holds its outputs plus one tower in flight.
+
+Every byte count is a function of shapes alone: bag sizes, shard placement,
+table widths and tower-module output widths. baseline_plan and tower_plan
+derive each pipeline's trace and flops from those shapes without looking up
+or moving an embedding; the cost model costs the plans, and the functional
+pipelines are checked against them collective for collective (check_plan).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,8 +39,17 @@ from .embedding import (
     SparseBatch,
     lookup,
 )
-from .errors import LayoutError, PlanError
-from .simnet import CommTrace, Tagged, all_to_all, reduce_scatter
+from .errors import InvariantError, LayoutError, PlanError
+from .simnet import (
+    ALL_TO_ALL,
+    BYTES_PER_ELEMENT,
+    REDUCE_SCATTER,
+    Collective,
+    CommTrace,
+    Tagged,
+    all_to_all,
+    reduce_scatter,
+)
 from .topology import ClusterTopology, TowerLayout, class_members, class_order
 from .towermod import (
     PASSTHROUGH,
@@ -142,6 +158,84 @@ def _shard_lookup(
     return lookup(values, bags, pooling), float(flops)
 
 
+def _batch_shards(batch: SparseBatch, placement: ShardedEmbedding) -> list[tuple]:
+    """(shard id, shard) of every shard of a batch feature, in placement order.
+
+    Placement may cover more tables than the batch references; only the
+    batch's features move.
+    """
+    return [(sid, s) for sid, s in enumerate(placement.shards) if s.table_id in batch.pooling]
+
+
+def _check_placement(
+    batch: SparseBatch,
+    placement: ShardedEmbedding,
+    topo: ClusterTopology,
+    plan: Optional[TowerPlan] = None,
+) -> None:
+    """Up-front checks of a pipeline and its plan: every batch feature has
+    shards and, under a tower plan, the layout tiles the world and each
+    feature's shards sit on its tower's ranks."""
+    if plan is None:
+        for feat in batch.features:
+            placement.shards_of(feat)
+        return
+    plan.layout.validate_for(topo)
+    for feat in batch.features:
+        if feat not in plan.feature_towers:
+            raise PlanError(f"feature {feat} has no tower assignment")
+        tower = plan.feature_towers[feat]
+        ranks = set(plan.layout.tower_ranks(tower, topo))
+        owners = {s.rank for s in placement.shards_of(feat)}
+        if not owners <= ranks:
+            raise PlanError(
+                f"feature {feat} mapped to tower {tower} but sharded on {sorted(owners)}"
+            )
+
+
+def _reduce_scattered(
+    batch: SparseBatch, placement: ShardedEmbedding, opts: ExchangeOptions
+) -> dict[int, list[int]]:
+    """Shard ids of each feature whose step d is a reduce-scatter.
+
+    Row-wise features bypass the step-d all-to-all under
+    rowwise_reducescatter; their partial pools sum in a reduce-scatter.
+    """
+    rs_shards: dict[int, list[int]] = {}
+    if opts.rowwise_reducescatter:
+        for sid, shard in _batch_shards(batch, placement):
+            if shard.scheme == ROW_WISE:
+                rs_shards.setdefault(shard.table_id, []).append(sid)
+    return rs_shards
+
+
+def _step_e_shape(
+    cfg: TMConfig,
+    placement: ShardedEmbedding,
+    feats: list[int],
+    tower: int,
+    num_towers: int,
+    batch_size: int,
+) -> tuple[int, int, float]:
+    """(in_dim, width, flops) of one tower's step e.
+
+    in_dim is the embedding dim its tower module reads (0 under
+    passthrough), width the columns of its block for each destination, and
+    flops the work of each of its ranks: one forward per destination tower.
+    """
+    if cfg.kind == PASSTHROUGH:
+        return 0, sum(placement.tables[f].dim for f in feats), 0.0
+    dims = {placement.tables[f].dim for f in feats}
+    if len(dims) > 1:
+        raise PlanError(
+            f"tower {tower} mixes embedding dims {sorted(dims)}; "
+            "tower modules need one dim per tower"
+        )
+    in_dim = dims.pop() if dims else 1
+    flops = num_towers * tm_flops(cfg, len(feats), in_dim, batch_size)
+    return in_dim, tm_output_width(cfg, len(feats), in_dim), flops
+
+
 def _distribute_and_lookup(
     batch: SparseBatch,
     placement: ShardedEmbedding,
@@ -157,13 +251,7 @@ def _distribute_and_lookup(
     once, over the bags of every source in that order.
     """
     world = list(range(topo.world_size))
-    # Placement may cover more tables than the batch references; only the
-    # batch's features move.
-    shard_list = [
-        (sid, s)
-        for sid, s in enumerate(placement.shards)
-        if s.table_id in batch.pooling
-    ]
+    shard_list = _batch_shards(batch, placement)
     by_owner = {o: [(sid, s) for sid, s in shard_list if s.rank == o] for o in world}
 
     sends = {
@@ -212,11 +300,10 @@ def baseline_exchange(
     """Flat pipeline: global index all-to-all, lookup, global embedding all-to-all.
 
     Every rank ends with all features' embeddings for its local batch,
-    columns ordered by feature id.
+    columns ordered by feature id. ``batch`` must be validated against
+    ``placement.tables`` (make_batch does so).
     """
-    batch.validate(placement.tables)
-    for feat in batch.features:
-        placement.shards_of(feat)
+    _check_placement(batch, placement, topo)
     trace = CommTrace(topo)
     world = list(range(topo.world_size))
     blocks, lookup_flops = _distribute_and_lookup(batch, placement, topo, trace)
@@ -254,25 +341,13 @@ def tower_exchange(
     comparison against the baseline. Step d releases its tower's step-b
     lookups and step e its step-d bundles; step f releases each destination
     block as its class all-to-all takes it, and each receiver's blocks as
-    they are concatenated.
+    they are concatenated. ``batch`` must be validated, as for
+    baseline_exchange.
     """
-    batch.validate(placement.tables)
+    _check_placement(batch, placement, topo, plan)
     layout = plan.layout
-    layout.validate_for(topo)
     width = layout.group_width(topo)
     num_towers = layout.num_towers
-
-    for feat in batch.features:
-        if feat not in plan.feature_towers:
-            raise PlanError(f"feature {feat} has no tower assignment")
-        tower = plan.feature_towers[feat]
-        ranks = set(layout.tower_ranks(tower, topo))
-        owners = {s.rank for s in placement.shards_of(feat)}
-        if not owners <= ranks:
-            raise PlanError(
-                f"feature {feat} mapped to tower {tower} but sharded on {sorted(owners)}"
-            )
-
     trace = CommTrace(topo)
     batch_size = batch.local_batch
     members = [class_members(cls, topo, layout) for cls in range(width)]
@@ -306,13 +381,7 @@ def tower_exchange(
             [blocks[owner][sid][position[p]] for p in members[cls]], axis=0
         )
 
-    # Row-wise features bypass the step-d all-to-all under
-    # rowwise_reducescatter; their partial pools sum in a reduce-scatter.
-    rs_shards: dict[int, list[int]] = {}
-    if opts.rowwise_reducescatter:
-        for sid, shard in enumerate(placement.shards):
-            if shard.scheme == ROW_WISE and shard.table_id in batch.pooling:
-                rs_shards.setdefault(shard.table_id, []).append(sid)
+    rs_shards = _reduce_scattered(batch, placement, opts)
 
     def partials(sids: list[int]) -> dict[int, list[np.ndarray]]:
         """Per-owner, per-class partials; an owner holding several row
@@ -362,21 +431,14 @@ def tower_exchange(
 
         # Step e: regroup from (feature, destination) to (destination,
         # feature) and apply the tower module per destination block.
+        in_dim, tower_width, flops = _step_e_shape(
+            cfg, placement, feats, tower, num_towers, batch_size
+        )
+        tm_work = max(tm_work, flops)
         if cfg.kind == PASSTHROUGH:
             layout_blocks.extend(("feature", f, placement.tables[f].dim) for f in feats)
         else:
-            dims = {placement.tables[f].dim for f in feats}
-            if len(dims) > 1:
-                raise PlanError(
-                    f"tower {tower} mixes embedding dims {sorted(dims)}; "
-                    "tower modules need one dim per tower"
-                )
-            in_dim = dims.pop() if dims else 1
             weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
-            # Each rank of the tower runs one forward per destination tower.
-            flops_one = tm_flops(cfg, len(feats), in_dim, batch_size)
-            tm_work = max(tm_work, num_towers * flops_one)
-            tower_width = tm_output_width(cfg, len(feats), in_dim)
             layout_blocks.append(("tower", tower, tower_width))
         for rank in group:
             per_dest = []
@@ -402,6 +464,170 @@ def tower_exchange(
 
     flops = {"b": max(lookup_flops.values()), "e": tm_work}
     return ExchangeResult(outputs, OutputLayout(tuple(layout_blocks)), trace, flops)
+
+
+def _record(trace: CommTrace, label: str, group: Sequence[int], nbytes: np.ndarray,
+            present: Optional[np.ndarray] = None) -> None:
+    """Append a planned collective: a reduce-scatter when ``present`` is given,
+    else an all-to-all, whose messages are all present."""
+    if present is None:
+        kind, present = ALL_TO_ALL, np.ones(nbytes.shape, dtype=bool)
+    else:
+        kind = REDUCE_SCATTER
+    trace.collectives.append(Collective(label, kind, tuple(group), nbytes, present))
+
+
+def _same_to_every_member(sent: np.ndarray) -> np.ndarray:
+    """Byte matrix of a collective in which member i sends ``sent[i]`` bytes
+    to each member."""
+    return np.repeat(sent[:, None], sent.size, axis=1)
+
+
+def _plan_steps_a_b(
+    batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology, trace: CommTrace
+) -> float:
+    """Record step a's all-to-all and return step b's flops (the busiest owner's).
+
+    Source s sends owner o every index of each feature o holds a shard of,
+    so step a's bytes are 4 x (indices per source and feature) @ (shards per
+    feature and owner). A row shard looks up only the indices in its row
+    range; other shards look up every index of their feature.
+    """
+    world = topo.world_size
+    shard_list = _batch_shards(batch, placement)
+    feats = batch.features
+    column = {f: i for i, f in enumerate(feats)}
+    indices = np.array(
+        [[batch.bags[src][f].values.size for f in feats] for src in range(world)],
+        dtype=np.int64,
+    ).reshape(world, len(feats))
+    held = np.zeros((len(feats), world), dtype=np.int64)
+    for _, shard in shard_list:
+        held[column[shard.table_id], shard.rank] += 1
+    _record(trace, "a", range(world), BYTES_PER_ELEMENT * indices @ held)
+
+    totals = indices.sum(axis=0)
+    below: dict[int, np.ndarray] = {}  # feature -> indices below each row
+    work = [0] * world
+    for _, shard in shard_list:
+        feat = shard.table_id
+        if shard.scheme == ROW_WISE:
+            if feat not in below:
+                values = np.concatenate([batch.bags[src][feat].values for src in range(world)])
+                counts = np.bincount(values, minlength=placement.tables[feat].rows)
+                below[feat] = np.concatenate(([0], np.cumsum(counts)))
+            r0, r1 = shard.row_range
+            looked_up = int(below[feat][r1] - below[feat][r0])
+        else:
+            looked_up = int(totals[column[feat]])
+        work[shard.rank] += looked_up * shard.width
+    return float(max(work))
+
+
+def baseline_plan(
+    batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology
+) -> tuple[CommTrace, dict[str, float]]:
+    """The trace and flops of baseline_exchange, derived from shapes alone.
+
+    Nothing is looked up or moved. Rejects what baseline_exchange rejects;
+    ``batch`` must be validated.
+    """
+    _check_placement(batch, placement, topo)
+    trace = CommTrace(topo)
+    lookup_flops = _plan_steps_a_b(batch, placement, topo, trace)
+    # Step c: each owner sends every rank one (batch, width) block per shard.
+    widths = np.zeros(topo.world_size, dtype=np.int64)
+    for _, shard in _batch_shards(batch, placement):
+        widths[shard.rank] += shard.width
+    _record(trace, "c", range(topo.world_size),
+            _same_to_every_member(BYTES_PER_ELEMENT * batch.local_batch * widths))
+    return trace, {"b": lookup_flops}
+
+
+def tower_plan(
+    batch: SparseBatch,
+    placement: ShardedEmbedding,
+    plan: TowerPlan,
+    topo: ClusterTopology,
+    opts: ExchangeOptions = ExchangeOptions(),
+) -> tuple[CommTrace, dict[str, float]]:
+    """The trace and flops of tower_exchange, derived from shapes alone.
+
+    Nothing is looked up, moved or run through a tower module. Rejects what
+    tower_exchange rejects; ``batch`` must be validated. swap_bc and
+    omit_permute change no byte count.
+    """
+    _check_placement(batch, placement, topo, plan)
+    layout = plan.layout
+    num_towers = layout.num_towers
+    batch_size = batch.local_batch
+    trace = CommTrace(topo)
+    lookup_flops = _plan_steps_a_b(batch, placement, topo, trace)
+    rs_shards = _reduce_scattered(batch, placement, opts)
+    # Step d's all-to-all sends each destination class one (batch, width)
+    # block per tower of every shard but the reduce-scattered ones.
+    row_bytes = BYTES_PER_ELEMENT * num_towers * batch_size
+    widths = np.zeros(topo.world_size, dtype=np.int64)
+    for _, shard in _batch_shards(batch, placement):
+        if shard.table_id not in rs_shards:
+            widths[shard.rank] += shard.width
+
+    tower_widths, tm_work = [], 0.0
+    for tower in range(num_towers):
+        group = layout.tower_ranks(tower, topo)
+        feats = [f for f in plan.features_of(tower) if f in batch.pooling]
+        # Step d: one all-to-all, then one reduce-scatter per reduce-scattered
+        # feature, to which only the feature's shard owners contribute.
+        _record(trace, "d", group, _same_to_every_member(row_bytes * widths[group]))
+        for feat in feats:
+            if feat in rs_shards:
+                owners = {placement.shards[sid].rank for sid in rs_shards[feat]}
+                present = _same_to_every_member(np.array([m in owners for m in group]))
+                nbytes = row_bytes * placement.tables[feat].dim * present.astype(np.int64)
+                _record(trace, "d", group, nbytes, present)
+        _, tower_width, flops = _step_e_shape(
+            opts.tower_modules, placement, feats, tower, num_towers, batch_size
+        )
+        tower_widths.append(tower_width)
+        tm_work = max(tm_work, flops)
+
+    # Step f: within each class, tower t's member sends every member its
+    # tower's (batch, width) block.
+    sent = BYTES_PER_ELEMENT * batch_size * np.array(tower_widths, dtype=np.int64)
+    for cls in range(layout.group_width(topo)):
+        _record(trace, "f", class_members(cls, topo, layout), _same_to_every_member(sent))
+    return trace, {"b": lookup_flops, "e": tm_work}
+
+
+def _same_collective(a: Collective, b: Collective) -> bool:
+    return (
+        (a.label, a.kind, a.group) == (b.label, b.kind, b.group)
+        and np.array_equal(a.nbytes, b.nbytes)
+        and np.array_equal(a.present, b.present)
+    )
+
+
+def check_plan(
+    pipeline: str, result: ExchangeResult, planned: tuple[CommTrace, dict[str, float]]
+) -> None:
+    """Raise InvariantError unless a run's trace and flops equal its plan's.
+
+    Names the pipeline and the first collective that differs, by index and
+    label.
+    """
+    trace, flops = planned
+    pairs = itertools.zip_longest(result.trace.collectives, trace.collectives)
+    for index, (ran, planned_one) in enumerate(pairs):
+        if ran is None or planned_one is None or not _same_collective(ran, planned_one):
+            label = (planned_one or ran).label
+            raise InvariantError(
+                f"{pipeline} pipeline: collective {index} (label {label!r}) "
+                "differs from its plan"
+            )
+    if result.flops != flops:
+        raise InvariantError(
+            f"{pipeline} pipeline: flops {result.flops} differ from its plan's {flops}"
+        )
 
 
 def feature_columns(layout: OutputLayout, target_feature_order: Sequence[int]) -> list[slice]:

@@ -41,21 +41,6 @@ def affinity_from_embeddings(features: np.ndarray) -> np.ndarray:
     return np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
 
 
-def affinity_from_batch(batch_embs: np.ndarray) -> np.ndarray:
-    """Average the per-sample normalized Gram matrices, then take |.|.
-
-    Input is (batch, features, dim). Signed Grams are averaged before the
-    absolute value so opposing-sign relations across samples can cancel.
-    """
-    if batch_embs.ndim != 3 or batch_embs.shape[0] < 1:
-        raise DomainError(f"expected a (batch, features, dim) array, got {batch_embs.shape}")
-    total = np.zeros((batch_embs.shape[1], batch_embs.shape[1]))
-    for b in range(batch_embs.shape[0]):
-        unit = _normalize_rows(np.asarray(batch_embs[b], dtype=np.float64), "feature row")
-        total += unit @ unit.T
-    return np.clip(np.abs(total / batch_embs.shape[0]), 0.0, 1.0)
-
-
 def distance_from_affinity(affinity: np.ndarray, strategy: str) -> np.ndarray:
     """Map affinity to distances: diverse keeps I, coherent uses 1 - I.
 

@@ -94,13 +94,6 @@ class TowerLayout:
         return list(range(tower * width, (tower + 1) * width))
 
 
-def peers(rank: int, topo: ClusterTopology) -> set[int]:
-    """Ranks sharing this rank's local index across hosts (includes rank)."""
-    topo.check_rank(rank)
-    local = rank % topo.ranks_per_host
-    return {h * topo.ranks_per_host + local for h in range(topo.num_hosts)}
-
-
 def peer_order(topo: ClusterTopology, layout: TowerLayout) -> tuple[int, ...]:
     """Total order of ranks keyed by (rank % num_towers, rank // ranks_per_host).
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import yaml
 
+from towersim import cli, errors, exchange
 from towersim.cli import (
+    EXIT_CODES,
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -15,6 +18,7 @@ from towersim.cli import (
     read_assignment,
     read_embeddings,
 )
+from towersim.embedding import SparseBatch
 from towersim.errors import ConfigError, IngestionError
 
 
@@ -526,3 +530,61 @@ def test_cost_outputs_golden(tmp_path, kind):
     assert main(["--config", str(cfg), "--out", str(out), "cost", "--sweep", sweep]) == EXIT_OK
     assert (out / "sweep.csv").read_text() == sweep_csv
     assert (out / "breakdown.txt").read_text() == breakdown
+
+
+def test_exit_code_table_covers_every_error_class(tmp_path, monkeypatch, capsys):
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TowersimError)]
+    assert set(classes) == set(EXIT_CODES)
+    for cls in classes:
+        code, prefix = EXIT_CODES[cls]
+
+        def fail(*args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "run_verify", fail)
+        assert main(["--out", str(tmp_path), "verify"]) == code
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+    internal = ("InvariantError", "LayoutError", "ShapeError", "ProtocolError",
+                "TableLookupError", "ReportError")
+    constraint = ("ConfigError", "DomainError", "PlanError", "ConstraintError")
+    for name in internal:
+        assert EXIT_CODES[getattr(errors, name)][0] == EXIT_ERROR, name
+    for name in constraint:
+        assert EXIT_CODES[getattr(errors, name)][0] == EXIT_CONFIG, name
+
+
+def test_plan_mismatch_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # A functional run whose trace leaves its plan exits 1, naming the
+    # pipeline, the collective and its label.
+    plan = exchange.tower_plan
+
+    def corrupted(*args):
+        trace, flops = plan(*args)
+        last = trace.collectives[-1]
+        trace.collectives[-1] = last._replace(nbytes=last.nbytes + 4)
+        return trace, flops
+
+    monkeypatch.setattr(exchange, "tower_plan", corrupted)
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(out), "verify"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: tower pipeline: collective 4 (label 'f') differs from its plan\n"
+    assert not (out / "report.txt").exists()
+
+
+def test_batch_is_validated_once_per_run_context(tmp_path, monkeypatch):
+    calls = []
+    validate = SparseBatch.validate
+
+    def counted(self, tables):
+        calls.append(1)
+        return validate(self, tables)
+
+    monkeypatch.setattr(SparseBatch, "validate", counted)
+    cfg = str(write_config(tmp_path))
+    assert main(["--config", cfg, "--out", str(tmp_path / "v"), "verify"]) == EXIT_OK
+    assert len(calls) == 1
+    assert main(["--config", cfg, "--out", str(tmp_path / "c"), "cost",
+                 "--sweep", "batch.local_size=1,2"]) == EXIT_OK
+    assert len(calls) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import build_run, direct_lookup_oracle
 
-from towersim.cli import compare_exact, equivalence_check, random_config
+from towersim.cli import RunContext, compare_exact, equivalence_check, random_config
 from towersim.embedding import (
     ROW_WISE,
     TablePlan,
@@ -12,13 +12,16 @@ from towersim.embedding import (
     make_batch,
     shard_tables,
 )
-from towersim.errors import LayoutError, PlanError
+from towersim.errors import InvariantError, LayoutError, PlanError
 from towersim.exchange import (
     ExchangeOptions,
     TowerPlan,
     baseline_exchange,
+    baseline_plan,
+    check_plan,
     realign,
     tower_exchange,
+    tower_plan,
 )
 from towersim.topology import ClusterTopology, TowerLayout
 from towersim.towermod import TMConfig, tm_output_width
@@ -255,13 +258,15 @@ def test_plan_errors():
     topo, layout, tables, batch, placement, plan = build_run(
         num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4
     )
-    # Claim feature 0 lives in tower 1 while its shards sit in tower 0.
+    # Claim feature 0 lives in tower 1 while its shards sit in tower 0. The
+    # plan rejects it with the pipeline's error.
     bad = TowerPlan(layout, {**plan.feature_towers, 0: 1})
-    with pytest.raises(PlanError):
-        tower_exchange(batch, placement, bad, topo, ExchangeOptions())
     missing = TowerPlan(layout, {k: v for k, v in plan.feature_towers.items() if k != 0})
-    with pytest.raises(PlanError):
-        tower_exchange(batch, placement, missing, topo, ExchangeOptions())
+    for wrong, message in ((bad, "mapped to tower 1 but sharded on"),
+                           (missing, "feature 0 has no tower assignment")):
+        for run in (tower_exchange, tower_plan):
+            with pytest.raises(PlanError, match=message):
+                run(batch, placement, wrong, topo, ExchangeOptions())
 
 
 def test_placement_superset_of_batch():
@@ -289,8 +294,9 @@ def test_tower_module_rejects_mixed_dims():
         num_hosts=1, ranks_per_host=2, dims=(2, 5), num_tables=2
     )
     tm = TMConfig(kind="dlrm", out_dim=2)
-    with pytest.raises(PlanError, match="mixes embedding dims"):
-        tower_exchange(batch, placement, plan, topo, ExchangeOptions(tower_modules=tm))
+    for run in (tower_exchange, tower_plan):
+        with pytest.raises(PlanError, match=r"tower 0 mixes embedding dims \[2, 5\]"):
+            run(batch, placement, plan, topo, ExchangeOptions(tower_modules=tm))
 
 
 def test_mixed_dims_and_empty_tower():
@@ -372,3 +378,65 @@ def test_verify_holds_one_pipeline_of_outputs():
     # lookup buffer.
     for result in (base, tower):
         assert all(out.base is None for out in result.outputs.values())
+
+
+def assert_same_trace(ran, planned):
+    assert len(ran.collectives) == len(planned.collectives)
+    for a, b in zip(ran.collectives, planned.collectives):
+        assert (a.label, a.kind, a.group) == (b.label, b.kind, b.group)
+        assert a.nbytes.tolist() == b.nbytes.tolist()
+        assert a.present.tolist() == b.present.tolist()
+
+
+FLAGS = [(swap, omit, rs) for swap in (False, True) for omit in (False, True)
+         for rs in (False, True)]
+
+
+def test_plans_equal_functional_runs_on_random_configs():
+    # Seeded apart from criterion 1's suite, and drawing tower modules too:
+    # every tm.kind meets every exchange-flag combination twice.
+    rng = np.random.default_rng(8088)
+    for i in range(48):
+        cfg = random_config(rng)
+        swap, omit, rs = FLAGS[i % len(FLAGS)]
+        cfg["exchange"] = {"swap_bc": swap, "omit_permute": omit, "rowwise_reducescatter": rs}
+        cfg["tm"].update(
+            kind=("passthrough", "dlrm", "dcn")[i // len(FLAGS) % 3],
+            out_dim=int(rng.integers(1, 5)),
+            per_feature_outputs=int(rng.integers(1, 3)),
+            flat_outputs=int(rng.integers(0, 3)),
+            cross_layers=int(rng.integers(1, 3)),
+        )
+        ctx = RunContext(cfg)
+        base = baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
+        trace, flops = baseline_plan(ctx.batch, ctx.placement, ctx.topo)
+        assert_same_trace(base.trace, trace)
+        assert base.flops == flops
+        tower = tower_exchange(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
+        trace, flops = tower_plan(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
+        assert_same_trace(tower.trace, trace)
+        assert tower.flops == flops
+
+
+def test_check_plan_names_the_first_differing_collective():
+    topo, layout, tables, batch, placement, plan = build_run(
+        num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4, hotness=(0, 3),
+        sharding="row_wise", shards_per_table=2,
+    )
+    opts = ExchangeOptions(rowwise_reducescatter=True)
+    result = tower_exchange(batch, placement, plan, topo, opts)
+    trace, flops = tower_plan(batch, placement, plan, topo, opts)
+    check_plan("tower", result, (trace, flops))
+    labels = [c.label for c in trace.collectives]
+    rs = next(i for i, c in enumerate(trace.collectives) if c.kind == "reduce_scatter")
+    corrupt = trace.collectives[rs]
+    trace.collectives[rs] = corrupt._replace(present=~corrupt.present)
+    with pytest.raises(InvariantError, match=f"tower pipeline: collective {rs} \\(label 'd'\\)"):
+        check_plan("tower", result, (trace, flops))
+    trace.collectives[rs] = corrupt
+    del trace.collectives[-1]
+    with pytest.raises(InvariantError, match=f"collective {len(labels) - 1} \\(label 'f'\\)"):
+        check_plan("tower", result, (trace, flops))
+    trace, _ = tower_plan(batch, placement, plan, topo, opts)
+    with pytest.raises(InvariantError, match="flops"):
+        check_plan("tower", result, (trace, {**flops, "b": flops["b"] + 1}))

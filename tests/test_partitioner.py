@@ -5,7 +5,6 @@ import pytest
 
 from towersim.errors import DomainError, NumericError
 from towersim.partitioner import (
-    affinity_from_batch,
     affinity_from_embeddings,
     constrained_kmeans,
     distance_from_affinity,
@@ -58,29 +57,6 @@ def test_affinity_properties_random(rng):
     assert np.allclose(affinity, affinity.T)
     assert np.all((affinity >= 0) & (affinity <= 1))
     assert np.allclose(np.diag(affinity), 1.0)
-
-
-def test_batch_affinity_single_sample_equals_embedding_affinity(rng):
-    sample = rng.normal(size=(1, 5, 4))
-    assert np.allclose(
-        affinity_from_batch(sample), affinity_from_embeddings(sample[0])
-    )
-
-
-def test_batch_affinity_identical_samples(rng):
-    one = rng.normal(size=(5, 4))
-    batch = np.stack([one, one, one])
-    assert np.allclose(affinity_from_batch(batch), affinity_from_embeddings(one))
-
-
-def test_batch_affinity_hand_computed_mean_of_grams():
-    # Two 2x2 samples with known normalized Grams G1, G2: result is
-    # |(G1+G2)/2| entrywise.
-    s1 = np.array([[1.0, 0.0], [0.0, 1.0]])       # G1 off-diagonal 0
-    s2 = np.array([[1.0, 0.0], [-1.0, 0.0]])      # G2 off-diagonal -1
-    got = affinity_from_batch(np.stack([s1, s2]))
-    assert got[0, 1] == pytest.approx(0.5)
-    assert np.allclose(np.diag(got), 1.0)
 
 
 # ---------------------------------------------------------------- distance

@@ -8,44 +8,48 @@ from towersim.topology import (
     class_order,
     link_classes,
     peer_order,
-    peers,
 )
 
 
-def test_peers_forced_by_definition():
+# With one host per tower, peer class c is every host's local rank c.
+
+
+def test_class_members_forced_by_definition():
     topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    assert peers(1, topo) == {1, 3}
+    assert class_members(1, topo, TowerLayout(2)) == [1, 3]
 
 
-def test_peers_walkthrough_example():
+def test_class_members_walkthrough_example():
     topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    assert peers(0, topo) == {0, 2}
+    assert class_members(0, topo, TowerLayout(2)) == [0, 2]
 
 
-def test_peers_enumeration_oracle():
+def test_class_members_enumeration_oracle():
     # Enumerate g in 0..8 with g % 4 == 1.
     topo = ClusterTopology(num_hosts=2, ranks_per_host=4)
-    expected = {g for g in range(8) if g % 4 == 5 % 4}
-    assert expected == {1, 5}
-    assert peers(5, topo) == expected
+    expected = [g for g in range(8) if g % 4 == 5 % 4]
+    assert expected == [1, 5]
+    assert class_members(1, topo, TowerLayout(2)) == expected
 
 
-def test_peers_out_of_range():
+def test_class_members_out_of_range():
     topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
+    layout = TowerLayout(2)
     with pytest.raises(DomainError):
-        peers(4, topo)
+        class_members(2, topo, layout)
     with pytest.raises(DomainError):
-        peers(-1, topo)
+        class_members(-1, topo, layout)
 
 
-def test_peers_partition_ranks():
-    for hosts, per_host in [(1, 1), (2, 2), (3, 4), (4, 2), (8, 1)]:
+def test_class_members_partition_ranks():
+    for hosts, per_host, hpt in [(1, 1, 1), (2, 2, 1), (3, 4, 1), (4, 2, 2), (8, 1, 4)]:
         topo = ClusterTopology(num_hosts=hosts, ranks_per_host=per_host)
+        layout = TowerLayout(hosts // hpt, hpt)
         seen = []
-        for local in range(per_host):
-            cls = peers(local, topo)
-            assert len(cls) == hosts
-            seen.extend(cls)
+        for cls in range(layout.group_width(topo)):
+            members = class_members(cls, topo, layout)
+            assert len(members) == layout.num_towers
+            seen.extend(members)
         assert sorted(seen) == list(range(topo.world_size))
 
 
