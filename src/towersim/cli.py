@@ -395,15 +395,20 @@ class RunContext:
         return result
 
     def compression(self) -> float:
+        """The tower modules' savings factor: the features' table widths over
+        the towers' step-e widths, which tower_plan prices at step f."""
+        num_towers = self.layout.num_towers
         widths, counts = [], []
-        cfg_t = self.options.tower_modules
-        for tower in range(self.layout.num_towers):
+        for tower in range(num_towers):
             feats = self.plan.features_of(tower)
-            dims = [self.tables[f].dim for f in feats]
-            in_dim = dims[0] if dims else 1
-            widths.append(towermod.tm_output_width(cfg_t, len(feats), in_dim))
+            _, width, _ = exchange._step_e_shape(
+                self.options.tower_modules, self.placement, feats, tower, num_towers,
+                self.batch.local_batch,
+            )
+            widths.append(width)
             counts.append(len(feats))
-        return towermod.compression_ratio(widths, counts, int(self.cfg["tables"]["dim"]))
+        (in_dim,) = {table.dim for table in self.tables.values()}  # all tables.dim wide
+        return towermod.compression_ratio(widths, counts, in_dim)
 
 
 def compare_exact(
@@ -758,6 +763,7 @@ def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
     combos: list[list[tuple[str, object]]] = [[]]
     for key, values in sweeps:
         combos = [prev + [(key, v)] for prev in combos for v in values]
+    combos.sort(key=lambda combo: tuple(v for _, v in combo))
     rows = []
     for combo in combos:
         one = copy.deepcopy(cfg)
@@ -766,7 +772,6 @@ def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
         row = cost_one(one)
         row["config"] = ";".join(f"{k}={v}" for k, v in combo) or "base"
         rows.append(row)
-    rows.sort(key=lambda r: r["config"])
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = [
         "config", "num_hosts", "ranks_per_host", "num_towers",
@@ -838,9 +843,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = Path(cfg["output_dir"])
         if args.command == "verify":
             if args.random_sweep is not None:
-                matched, total, problems = run_random_sweep(
-                    args.random_sweep, _num(cfg["seed"], "seed")
-                )
+                seed = _num(cfg["seed"], "seed")
+                _require(seed >= 0, "seed", "must be >= 0")
+                matched, total, problems = run_random_sweep(args.random_sweep, seed)
                 print(f"{matched}/{total} exact")
                 for line in problems:
                     print(line, file=sys.stderr)

@@ -105,6 +105,19 @@ class Bags:
         bounds = self.offsets.tolist()
         return (self.values[a:b] for a, b in zip(bounds, bounds[1:]))
 
+    def view(self, first: int, last: int) -> "Bags":
+        """Bags first..last-1 as views into this Bags' arrays.
+
+        A run of whole bags cut from a consistent Bags is consistent, so the
+        view skips __init__'s cumsum and checks; only its offsets are new.
+        """
+        start = self.offsets[first]
+        part = object.__new__(Bags)
+        part.lengths = self.lengths[first:last]
+        part.values = self.values[start:self.offsets[last]]
+        part.offsets = self.offsets[first:last + 1] - start
+        return part
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bags):
             return NotImplemented
@@ -264,48 +277,64 @@ def shard_tables(
 
 @dataclass
 class SparseBatch:
-    """Per-rank, per-feature index bags with a uniform local batch size.
+    """Index bags per feature with a uniform local batch size.
 
-    ``bags[rank][feature]`` holds local_batch bags; ``pooling[feature]`` is
-    "none" for single-hot features and "sum" for multi-hot ones, uniform
-    across the whole batch.
+    ``bags[feature]`` is one Bags of num_ranks * local_batch bags: rank r's
+    bags are bags r * local_batch .. (r + 1) * local_batch - 1, and only
+    rank_bags and indices_per_rank know it. ``pooling[feature]`` is "none"
+    for single-hot features and "sum" for multi-hot ones, uniform across the
+    whole batch.
     """
 
-    bags: list[dict[int, Bags]]
+    bags: dict[int, Bags]
+    num_ranks: int
     local_batch: int
     pooling: dict[int, str]
-
-    @property
-    def num_ranks(self) -> int:
-        return len(self.bags)
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def features(self) -> list[int]:
         return sorted(self.pooling)
 
+    def rank_bags(self, rank: int, feature: int) -> Bags:
+        """Rank ``rank``'s local_batch bags of ``feature``, as views.
+
+        Each view is made once and kept for the batch's life: verify's two
+        pipelines send the same views at step a.
+        """
+        key = (rank, feature)
+        if key not in self._views:
+            first = rank * self.local_batch
+            self._views[key] = self.bags[feature].view(first, first + self.local_batch)
+        return self._views[key]
+
+    def indices_per_rank(self, feature: int) -> np.ndarray:
+        """How many indices each rank holds of ``feature``, in rank order."""
+        return np.diff(self.bags[feature].offsets[::self.local_batch])
+
     def validate(self, tables: dict[int, EmbeddingTable]) -> None:
-        for rank, per_feature in enumerate(self.bags):
-            if sorted(per_feature) != self.features:
-                raise DomainError(f"rank {rank} covers a different feature set")
-            for feat, bags in per_feature.items():
-                if len(bags) != self.local_batch:
+        if sorted(self.bags) != self.features:
+            raise DomainError("bags and pooling cover different feature sets")
+        expected = self.num_ranks * self.local_batch
+        for feat, bags in self.bags.items():
+            if len(bags) != expected:
+                raise DomainError(
+                    f"feature {feat} has {len(bags)} bags, expected {expected} "
+                    f"({self.num_ranks} ranks x {self.local_batch})"
+                )
+            if self.pooling[feat] == POOL_NONE:
+                wrong = bags.lengths[bags.lengths != 1]
+                if wrong.size:
                     raise DomainError(
-                        f"rank {rank} feature {feat} has {len(bags)} bags, "
-                        f"expected {self.local_batch}"
+                        f"single-hot feature {feat} has a bag of length {wrong[0]}"
                     )
-                if self.pooling[feat] == POOL_NONE:
-                    wrong = bags.lengths[bags.lengths != 1]
-                    if wrong.size:
-                        raise DomainError(
-                            f"single-hot feature {feat} has a bag of length {wrong[0]}"
-                        )
-                rows = tables[feat].rows
-                idx = bags.values
-                bad = idx[(idx < 0) | (idx >= rows)]
-                if bad.size:
-                    raise TableLookupError(
-                        f"feature {feat} index {bad[0]} out of range 0..{rows - 1}"
-                    )
+            rows = tables[feat].rows
+            idx = bags.values
+            bad = idx[(idx < 0) | (idx >= rows)]
+            if bad.size:
+                raise TableLookupError(
+                    f"feature {feat} index {bad[0]} out of range 0..{rows - 1}"
+                )
 
 
 def make_batch(
@@ -320,7 +349,7 @@ def make_batch(
     ``hotness[feature]`` is 1 for single-hot or a (lo, hi) inclusive range of
     bag lengths for multi-hot (lo may be 0; multi-hot bags sum-pool). Each
     feature draws all ranks' bag lengths in one call and all their indices
-    in a second; every rank gets views into those arrays.
+    in a second, and becomes one Bags of world * local_batch bags.
     """
     if local_batch < 1:
         raise DomainError("local_batch must be >= 1")
@@ -329,7 +358,7 @@ def make_batch(
     for feat, spec in hotness.items():
         pooling[feat] = POOL_NONE if spec == 1 else POOL_SUM
     world = topo.world_size
-    bags: list[dict[int, Bags]] = [{} for _ in range(world)]
+    bags: dict[int, Bags] = {}
     for feat in sorted(tables):
         spec = hotness[feat]
         if spec == 1:
@@ -337,13 +366,8 @@ def make_batch(
         else:
             lo, hi = spec
             lengths = rng.integers(lo, hi + 1, size=world * local_batch)
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        values = rng.integers(0, tables[feat].rows, size=int(offsets[-1]))
-        for rank in range(world):
-            first, last = rank * local_batch, (rank + 1) * local_batch
-            bags[rank][feat] = Bags(
-                lengths[first:last], values[offsets[first]:offsets[last]]
-            )
-    batch = SparseBatch(bags, local_batch, pooling)
+        values = rng.integers(0, tables[feat].rows, size=int(lengths.sum()))
+        bags[feat] = Bags(lengths, values)
+    batch = SparseBatch(bags, world, local_batch, pooling)
     batch.validate(tables)
     return batch

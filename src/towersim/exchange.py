@@ -79,7 +79,9 @@ class ExchangeOptions:
     swap_bc looks bags up directly in permuted order (shuffle the smaller
     index payload instead of the embeddings); omit_permute skips the
     materialized permute and lets step d gather blocks through the virtual
-    ordering; both leave results identical. rowwise_reducescatter sums
+    ordering. Neither changes an output file, a byte count or a modelled
+    second: they choose internal paths that only verify observes, by
+    checking that they give the same results. rowwise_reducescatter sums
     row-wise partial pools inside a reduce-scatter at step d instead of
     shipping per-shard partials and summing at the receiver. tower_modules
     is the one TMConfig every tower applies (passthrough by default).
@@ -254,13 +256,14 @@ def _distribute_and_lookup(
     shard_list = _batch_shards(batch, placement)
     by_owner = {o: [(sid, s) for sid, s in shard_list if s.rank == o] for o in world}
 
-    sends = {
-        src: [
-            [Tagged(sid, batch.bags[src][s.table_id]) for sid, s in by_owner[owner]]
+    feats = batch.features
+    sends = {}
+    for src in world:
+        views = {f: batch.rank_bags(src, f) for f in feats}
+        sends[src] = [
+            [Tagged(sid, views[s.table_id]) for sid, s in by_owner[owner]]
             for owner in world
         ]
-        for src in world
-    }
     received = all_to_all(world, sends, "a", trace)
 
     order = list(dest_seq) if dest_seq is not None else world
@@ -497,10 +500,9 @@ def _plan_steps_a_b(
     shard_list = _batch_shards(batch, placement)
     feats = batch.features
     column = {f: i for i, f in enumerate(feats)}
-    indices = np.array(
-        [[batch.bags[src][f].values.size for f in feats] for src in range(world)],
-        dtype=np.int64,
-    ).reshape(world, len(feats))
+    indices = np.zeros((world, len(feats)), dtype=np.int64)
+    for f in feats:
+        indices[:, column[f]] = batch.indices_per_rank(f)
     held = np.zeros((len(feats), world), dtype=np.int64)
     for _, shard in shard_list:
         held[column[shard.table_id], shard.rank] += 1
@@ -513,8 +515,9 @@ def _plan_steps_a_b(
         feat = shard.table_id
         if shard.scheme == ROW_WISE:
             if feat not in below:
-                values = np.concatenate([batch.bags[src][feat].values for src in range(world)])
-                counts = np.bincount(values, minlength=placement.tables[feat].rows)
+                counts = np.bincount(
+                    batch.bags[feat].values, minlength=placement.tables[feat].rows
+                )
                 below[feat] = np.concatenate(([0], np.cumsum(counts)))
             r0, r1 = shard.row_range
             looked_up = int(below[feat][r1] - below[feat][r0])

@@ -83,10 +83,6 @@ class TowerLayout:
         """Ranks per tower (the super-host width)."""
         return topo.ranks_per_host * self.hosts_per_tower
 
-    def tower_of_rank(self, rank: int, topo: ClusterTopology) -> int:
-        topo.check_rank(rank)
-        return rank // self.group_width(topo)
-
     def tower_ranks(self, tower: int, topo: ClusterTopology) -> list[int]:
         if not 0 <= tower < self.num_towers:
             raise DomainError(f"tower {tower} out of range 0..{self.num_towers - 1}")

@@ -75,7 +75,7 @@ def direct_lookup_oracle(batch, tables):
         mats = []
         for feat in batch.features:
             pooling = batch.pooling[feat]
-            bags = batch.bags[rank][feat]
+            bags = batch.rank_bags(rank, feat)
             if pooling == "none":
                 mats.append(lookup(tables[feat].values, bags, "none"))
             else:

@@ -257,6 +257,12 @@ def test_non_numeric_config_value_names_field(tmp_path, rng, capsys, command, ov
     assert "config error" in err and field in err
 
 
+def test_negative_random_sweep_seed_is_config_error(tmp_path, capsys):
+    argv = ["--seed", "-1", "--out", str(tmp_path / "out"), "verify", "--random-sweep", "3"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed: must be >= 0\n"
+
+
 def test_partition_nan_embedding_is_ingestion_error(tmp_path, rng, capsys):
     features = blobs_csv(tmp_path, rng)
     with open(features, "a") as fh:
@@ -407,16 +413,16 @@ def test_cost_compression_sweep_stepf_decreasing(tmp_path):
     assert ratios == [2.0, 4.0, 8.0, 16.0]
 
 
-def test_cost_rows_sorted_by_config_key(tmp_path):
+def test_cost_rows_sorted_by_swept_values(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "cost"
     main([
         "--config", str(cfg), "--out", str(out),
-        "cost", "--sweep", "batch.local_size=3,1,2",
+        "cost", "--sweep", "batch.local_size=3,1,12",
     ])
     with open(out / "sweep.csv") as fh:
         configs = [row["config"] for row in csv.DictReader(fh)]
-    assert configs == sorted(configs)
+    assert configs == [f"batch.local_size={size}" for size in (1, 3, 12)]
 
 
 def test_compare_exact_reports_first_difference(monkeypatch, tmp_path):

@@ -11,6 +11,7 @@ from towersim.embedding import (
     EmbeddingTable,
     Shard,
     ShardedEmbedding,
+    SparseBatch,
     TablePlan,
     init_table_deterministic,
     lookup,
@@ -171,7 +172,7 @@ def test_make_batch_deterministic_and_valid():
     assert a.bags == b.bags
     assert a.pooling == {0: "none", 1: "none", 2: "sum", 3: "sum"}
     for rank in range(4):
-        for bag in a.bags[rank][3]:
+        for bag in a.rank_bags(rank, 3):
             assert len(bag) == 2
 
 
@@ -279,14 +280,57 @@ def test_make_batch_lengths_span_hotness_range():
     hot = {0: 1, 1: (0, 5), 2: (3, 7)}
     batch = make_batch(topo, tables, 64, hot, seed=11)
     for feat, (lo, hi) in ((1, (0, 5)), (2, (3, 7))):
-        lengths = np.concatenate([batch.bags[r][feat].lengths for r in range(topo.world_size)])
+        lengths = np.concatenate(
+            [batch.rank_bags(r, feat).lengths for r in range(topo.world_size)]
+        )
         assert lengths.size == topo.world_size * 64
         assert lengths.min() == lo and lengths.max() == hi
     for rank in range(topo.world_size):
-        assert batch.bags[rank][0].lengths.tolist() == [1] * 64
+        assert batch.rank_bags(rank, 0).lengths.tolist() == [1] * 64
         for feat, table in tables.items():
-            values = batch.bags[rank][feat].values
+            values = batch.rank_bags(rank, feat).values
             assert values.size == 0 or (values.min() >= 0 and values.max() < table.rows)
+
+
+def two_rank_batch(bags, pooling="none"):
+    """Two ranks of one bag each over a 4-row table 0."""
+    tables = {0: init_table_deterministic(0, 4, 2, integer=True)}
+    return SparseBatch(bags, num_ranks=2, local_batch=1, pooling={0: pooling}), tables
+
+
+@pytest.mark.parametrize(
+    "bags, pooling, error, message",
+    [
+        ({1: Bags([1, 1], [0, 1])}, "none", DomainError,
+         "bags and pooling cover different feature sets"),
+        ({0: Bags([1, 1, 1], [0, 1, 2])}, "none", DomainError,
+         r"feature 0 has 3 bags, expected 2 \(2 ranks x 1\)"),
+        ({0: Bags([1, 2], [0, 1, 2])}, "none", DomainError,
+         "single-hot feature 0 has a bag of length 2"),
+        ({0: Bags([2, 0], [3, 4])}, "sum", TableLookupError,
+         r"feature 0 index 4 out of range 0\.\.3"),
+    ],
+)
+def test_validate_rejects_inconsistent_batch(bags, pooling, error, message):
+    batch, tables = two_rank_batch(bags, pooling)
+    with pytest.raises(error, match=message):
+        batch.validate(tables)
+
+
+def test_rank_bags_are_views_that_concatenate_to_the_feature():
+    # Empty bags on both sides of each rank boundary, and one empty rank.
+    lengths, values = [2, 0, 0, 1, 0, 0, 0, 3], [5, 1, 7, 2, 2, 6]
+    tables = {0: init_table_deterministic(0, 8, 2, integer=True)}
+    batch = SparseBatch({0: Bags(lengths, values)}, num_ranks=4, local_batch=2,
+                        pooling={0: "sum"})
+    batch.validate(tables)
+    views = [batch.rank_bags(rank, 0) for rank in range(4)]
+    assert [view.lengths.tolist() for view in views] == [[2, 0], [0, 1], [0, 0], [0, 3]]
+    for view in views:
+        assert np.array_equal(view.offsets, Bags(view.lengths, view.values).offsets)
+        assert view.values.size == 0 or np.shares_memory(view.values, batch.bags[0].values)
+    assert Bags.concat(views) == batch.bags[0]
+    assert batch.indices_per_rank(0).tolist() == [2, 1, 0, 3]
 
 
 def test_make_batch_seed_changes_draw():

@@ -277,10 +277,7 @@ def test_placement_superset_of_batch():
     import dataclasses
 
     slim_pooling = {f: p for f, p in batch.pooling.items() if f != 3}
-    slim_bags = [
-        {f: bags for f, bags in per_rank.items() if f != 3}
-        for per_rank in batch.bags
-    ]
+    slim_bags = {f: bags for f, bags in batch.bags.items() if f != 3}
     slim = dataclasses.replace(batch, bags=slim_bags, pooling=slim_pooling)
     base = baseline_exchange(slim, placement, topo)
     tower = tower_exchange(slim, placement, plan, topo, ExchangeOptions())
@@ -344,7 +341,7 @@ def test_step_a_bytes_are_four_per_delivered_index():
             len(bag)
             for shard in placement.shards
             if shard.rank == dst
-            for bag in batch.bags[src][shard.table_id]
+            for bag in batch.rank_bags(src, shard.table_id)
         )
         assert nbytes == 4 * delivered
 

@@ -53,7 +53,7 @@ def test_count_trace_matches_byte_totals(spans):
     }))
     traces = {"baseline": ctx.run_baseline().trace, "tower": ctx.run_tower().trace}
     delivered = sum(
-        ctx.batch.bags[src][shard.table_id].values.size
+        ctx.batch.rank_bags(src, shard.table_id).values.size
         for src in range(ctx.topo.world_size)
         for shard in ctx.placement.shards
     )

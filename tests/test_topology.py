@@ -126,4 +126,3 @@ def test_tower_rank_helpers():
     layout = TowerLayout(2, hosts_per_tower=2)
     assert layout.group_width(topo) == 4
     assert layout.tower_ranks(1, topo) == [4, 5, 6, 7]
-    assert layout.tower_of_rank(3, topo) == 0
