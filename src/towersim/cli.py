@@ -81,6 +81,14 @@ EXIT_CODES: dict[type, tuple[int, str]] = {
     TowersimError: (EXIT_ERROR, "error"),  # a class added without a row
 }
 
+
+def _defaults(cls, names: tuple[str, ...], **derived) -> dict:
+    """A config block: dataclass ``cls``'s own defaults for ``names``, then ``derived``."""
+    return {name: getattr(cls, name) for name in names} | derived
+
+
+# exchange, tm and cost take their defaults from the dataclasses they fill. A
+# None seed, or efficiency ({world: factor}), is derived when the run is built.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "output_dir": "out",
@@ -104,19 +112,8 @@ DEFAULT_CONFIG: dict = {
         "seed": None,
     },
     "batch": {"local_size": 2, "seed": None},
-    "exchange": {
-        "swap_bc": False,
-        "omit_permute": False,
-        "rowwise_reducescatter": False,
-    },
-    "tm": {
-        "kind": PASSTHROUGH,
-        "out_dim": 64,
-        "per_feature_outputs": 1,
-        "flat_outputs": 0,
-        "cross_layers": 3,
-        "seed": None,
-    },
+    "exchange": _defaults(exchange.ExchangeOptions, exchange.SWITCHES),
+    "tm": _defaults(TMConfig, ("kind", *towermod.SIZES), seed=None),
     "partitioner": {
         "strategy": "coherent",
         "num_towers": 2,
@@ -125,14 +122,7 @@ DEFAULT_CONFIG: dict = {
         "steps": 5000,  # SMACOF iteration cap
         "seed": None,
     },
-    "cost": {
-        "alpha_up": 2e-6,
-        "alpha_out": 1e-5,
-        "beta_up": 450e9,
-        "beta_out": 50e9,
-        "compute_rate": 989e12,
-        "efficiency": None,  # {world: factor}; None = built-in default curve
-    },
+    "cost": _defaults(costmodel.CostParams, costmodel.RATES, efficiency=None),
 }
 
 
@@ -228,6 +218,13 @@ def build_tables(cfg: dict) -> tuple[dict[int, EmbeddingTable], dict[int, object
     return tables, hotness
 
 
+def _known_towers(mapping: dict[int, int], num_towers: int, field: str) -> dict[int, int]:
+    """``mapping`` once every feature in it maps to one of ``num_towers``."""
+    for feat, tower in mapping.items():
+        _require(0 <= tower < num_towers, field, f"feature {feat} mapped to unknown tower {tower}")
+    return mapping
+
+
 def build_assignment(
     cfg: dict,
     layout: TowerLayout,
@@ -241,13 +238,7 @@ def build_assignment(
             "assignment",
             f"{assignment_path} does not cover features 0..{num_features - 1}",
         )
-        for feat, tower in mapping.items():
-            _require(
-                0 <= tower < layout.num_towers,
-                "assignment",
-                f"feature {feat} mapped to unknown tower {tower}",
-            )
-        return mapping
+        return _known_towers(mapping, layout.num_towers, "assignment")
     mode = cfg["layout"]["assignment"]
     towers = layout.num_towers
     _require(
@@ -273,13 +264,7 @@ def build_assignment(
             f"need a list of {num_features} tower ids",
         )
         mapping = {f: _num(t, "layout.explicit") for f, t in enumerate(explicit)}
-        for feat, tower in mapping.items():
-            _require(
-                0 <= tower < towers,
-                "layout.explicit",
-                f"feature {feat} mapped to unknown tower {tower}",
-            )
-        return mapping
+        return _known_towers(mapping, towers, "layout.explicit")
     raise ConfigError(f"layout.assignment: unknown mode {mode!r}")
 
 
@@ -319,21 +304,13 @@ def build_tm(cfg: dict) -> TMConfig:
     t = cfg["tm"]
     if t["kind"] == PASSTHROUGH:
         return TMConfig()
-    sizes = {
-        name: _num(t[name], f"tm.{name}")
-        for name in ("out_dim", "per_feature_outputs", "flat_outputs", "cross_layers")
-    }
+    sizes = {name: _num(t[name], f"tm.{name}") for name in towermod.SIZES}
     return TMConfig(kind=t["kind"], seed=_block_seed(cfg, "tm", 3), **sizes)
 
 
 def build_options(cfg: dict) -> exchange.ExchangeOptions:
-    e = cfg["exchange"]
-    return exchange.ExchangeOptions(
-        swap_bc=bool(e["swap_bc"]),
-        omit_permute=bool(e["omit_permute"]),
-        rowwise_reducescatter=bool(e["rowwise_reducescatter"]),
-        tower_modules=build_tm(cfg),
-    )
+    switches = {name: bool(cfg["exchange"][name]) for name in exchange.SWITCHES}
+    return exchange.ExchangeOptions(tower_modules=build_tm(cfg), **switches)
 
 
 def build_cost_params(cfg: dict) -> costmodel.CostParams:
@@ -347,10 +324,7 @@ def build_cost_params(cfg: dict) -> costmodel.CostParams:
             _num(k, "cost.efficiency"): _num(v, f"cost.efficiency.{k}", float)
             for k, v in efficiency.items()
         }
-    rates = {
-        name: _num(c[name], f"cost.{name}", float)
-        for name in ("alpha_up", "alpha_out", "beta_up", "beta_out", "compute_rate")
-    }
+    rates = {name: _num(c[name], f"cost.{name}", float) for name in costmodel.RATES}
     return costmodel.CostParams(efficiency=efficiency, **rates)
 
 
@@ -518,11 +492,7 @@ def random_config(rng: np.random.Generator) -> dict:
             "integer_values": True,
         },
         "batch": {"local_size": int(rng.integers(1, 4))},
-        "exchange": {
-            "swap_bc": bool(rng.integers(0, 2)),
-            "omit_permute": bool(rng.integers(0, 2)),
-            "rowwise_reducescatter": bool(rng.integers(0, 2)),
-        },
+        "exchange": {name: bool(rng.integers(0, 2)) for name in exchange.SWITCHES},
     }
     return load_config(overrides=overrides)
 

@@ -25,6 +25,8 @@ from .simnet import CommTrace
 
 INTRA = "intra"
 CROSS = "cross"
+# The CostParams fields that are positive rates, in field order.
+RATES = ("alpha_up", "alpha_out", "beta_up", "beta_out", "compute_rate")
 
 
 def default_efficiency(max_world: int = 4096, flat_until: int = 8, decay: float = 0.8) -> dict[int, float]:
@@ -57,7 +59,7 @@ class CostParams:
     efficiency: dict[int, float] = field(default_factory=default_efficiency)
 
     def __post_init__(self) -> None:
-        for name in ("alpha_up", "alpha_out", "beta_up", "beta_out", "compute_rate"):
+        for name in RATES:
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if self.beta_up < self.beta_out:

@@ -72,6 +72,10 @@ class TowerPlan:
         return sorted(f for f, t in self.feature_towers.items() if t == tower)
 
 
+# The ExchangeOptions fields that are boolean switches, in field order.
+SWITCHES = ("swap_bc", "omit_permute", "rowwise_reducescatter")
+
+
 @dataclass(frozen=True)
 class ExchangeOptions:
     """Switches for the tower pipeline.

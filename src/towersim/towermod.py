@@ -18,6 +18,8 @@ PASSTHROUGH = "passthrough"
 DLRM = "dlrm"
 DCN = "dcn"
 KINDS = (PASSTHROUGH, DLRM, DCN)
+# The TMConfig fields that size a tower module, in field order.
+SIZES = ("out_dim", "per_feature_outputs", "flat_outputs", "cross_layers")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,39 @@ def test_verify_mismapped_assignment_fails(tmp_path, capsys):
     bad.write_text("0\t0\n1\t0\n2\t1\n3\t7\n")  # tower 7 does not exist
     code = main(["--config", str(cfg), "verify", "--assignment", str(bad)])
     assert code == EXIT_CONFIG
-    assert "unknown tower" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: assignment: feature 3 mapped to unknown tower 7\n"
+
+
+def test_verify_explicit_layout_assignment(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"layout": {"assignment": "explicit", "explicit": [1, 0, 0, 1]}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+    assert capsys.readouterr().out == "result: exact match\n"
+    assert (out / "layout.txt").read_text().splitlines()[1:] == [
+        f"feature\t{feat}\t4" for feat in (1, 2, 0, 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "explicit, error",
+    [
+        ([0, 1, 0], "need a list of 4 tower ids"),
+        ([0, 1, 0, 5], "feature 3 mapped to unknown tower 5"),
+    ],
+)
+def test_explicit_layout_assignment_errors(tmp_path, capsys, explicit, error):
+    cfg = write_config(tmp_path, {"layout": {"assignment": "explicit", "explicit": explicit}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: layout.explicit: {error}\n"
+    assert not out.exists()
+
+
+def test_readme_configuration_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == load_config()
 
 
 def test_config_validation_paths(tmp_path, capsys):

@@ -130,6 +130,22 @@ def test_tiling_completeness_random(rng):
         placed.validate_tiling()  # raises on overlap or gap
 
 
+@pytest.mark.parametrize(
+    "row_ranges",
+    [
+        [(0, 2), (1, 3)],  # overlap: row 1 covered twice, row 3 not at all
+        [(0, 1), (2, 4)],  # gap: row 1 uncovered
+        [(0, 2), (3, 5)],  # past the edge of a 4-row table, row 2 uncovered
+    ],
+    ids=["overlap", "gap", "past-edge"],
+)
+def test_validate_tiling_rejects_bad_rectangles(row_ranges):
+    tables = {0: init_table_deterministic(0, 4, 2, integer=True)}
+    shards = [Shard(0, rank, ROW_WISE, rows, (0, 2)) for rank, rows in enumerate(row_ranges)]
+    with pytest.raises(PlanError, match="^table 0 shards do not tile it exactly$"):
+        ShardedEmbedding(tables, shards).validate_tiling()
+
+
 def test_plan_errors():
     topo = ClusterTopology(num_hosts=1, ranks_per_host=2)
     layout = TowerLayout(1)
