@@ -40,7 +40,7 @@ from .partitioner import (
     partition_score,
 )
 from .simnet import CommTrace, all_to_all, reduce_scatter
-from .topology import ClusterTopology, TowerLayout, link_classes, peer_order
+from .topology import ClusterTopology, TowerLayout, link_classes
 from .towermod import (
     TMConfig,
     compression_ratio,

@@ -88,7 +88,7 @@ def _defaults(cls, names: tuple[str, ...], **derived) -> dict:
 
 
 # exchange, tm and cost take their defaults from the dataclasses they fill. A
-# None seed, or efficiency ({world: factor}), is derived when the run is built.
+# None efficiency ({world: factor}) is derived when the run is built.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "output_dir": "out",
@@ -109,18 +109,16 @@ DEFAULT_CONFIG: dict = {
         "sharding": TABLE_WISE,
         "shards_per_table": 1,
         "integer_values": True,
-        "seed": None,
     },
-    "batch": {"local_size": 2, "seed": None},
+    "batch": {"local_size": 2},
     "exchange": _defaults(exchange.ExchangeOptions, exchange.SWITCHES),
-    "tm": _defaults(TMConfig, ("kind", *towermod.SIZES), seed=None),
+    "tm": _defaults(TMConfig, ("kind", *towermod.SIZES)),
     "partitioner": {
         "strategy": "coherent",
         "num_towers": 2,
         "balance": 1.0,
         "embed_dims": 2,
         "steps": 5000,  # SMACOF iteration cap
-        "seed": None,
     },
     "cost": _defaults(costmodel.CostParams, costmodel.RATES, efficiency=None),
 }
@@ -152,10 +150,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     return cfg
 
 
-def _block_seed(cfg: dict, block: str, salt: int) -> int:
-    explicit = cfg[block].get("seed")
-    if explicit is not None:
-        return _num(explicit, f"{block}.seed")
+def _block_seed(cfg: dict, salt: int) -> int:
+    """One block's seed, derived from the run's ``seed`` and the block's ``salt``."""
     return (_num(cfg["seed"], "seed") * 1_000_003 + salt) % (2**63)
 
 
@@ -165,8 +161,10 @@ def _require(condition: bool, field: str, message: str) -> None:
 
 
 def _num(value, field: str, kind=int):
-    """``value`` cast to ``kind``; a value that is not a number is a
-    ConfigError naming the dotted ``field``."""
+    """``value`` cast to ``kind``; a value that is not a number, or not a
+    whole one where ``kind`` is int, is a ConfigError naming the dotted ``field``."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{field}: {value!r} is not an integer")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -200,7 +198,7 @@ def build_tables(cfg: dict) -> tuple[dict[int, EmbeddingTable], dict[int, object
     rows, dim = _num(t["rows"], "tables.rows"), _num(t["dim"], "tables.dim")
     _require(count >= 1, "tables.count", "must be >= 1")
     _require(t["sharding"] in SCHEMES, "tables.sharding", f"must be one of {SCHEMES}")
-    seed = _block_seed(cfg, "tables", 1)
+    seed = _block_seed(cfg, 1)
     tables = {
         tid: init_table_deterministic(tid, rows, dim, seed, bool(t["integer_values"]))
         for tid in range(count)
@@ -297,7 +295,7 @@ def build_batch(
 ) -> SparseBatch:
     size = _num(cfg["batch"]["local_size"], "batch.local_size")
     _require(size >= 1, "batch.local_size", "must be >= 1")
-    return make_batch(topo, tables, size, hotness, _block_seed(cfg, "batch", 2))
+    return make_batch(topo, tables, size, hotness, _block_seed(cfg, 2))
 
 
 def build_tm(cfg: dict) -> TMConfig:
@@ -305,7 +303,7 @@ def build_tm(cfg: dict) -> TMConfig:
     if t["kind"] == PASSTHROUGH:
         return TMConfig()
     sizes = {name: _num(t[name], f"tm.{name}") for name in towermod.SIZES}
-    return TMConfig(kind=t["kind"], seed=_block_seed(cfg, "tm", 3), **sizes)
+    return TMConfig(kind=t["kind"], seed=_block_seed(cfg, 3), **sizes)
 
 
 def build_options(cfg: dict) -> exchange.ExchangeOptions:
@@ -616,11 +614,14 @@ def read_assignment(path) -> dict[int, int]:
             if len(parts) != 2:
                 raise IngestionError(f"{path}:{lineno}: expected 'feature tower'")
             try:
-                mapping[int(parts[0])] = int(parts[1])
+                feature, tower = map(int, parts)
             except ValueError:
                 raise IngestionError(
                     f"{path}:{lineno}: feature and tower must be integers"
                 ) from None
+            if feature in mapping:
+                raise IngestionError(f"{path}:{lineno}: feature {feature} listed twice")
+            mapping[feature] = tower
     return mapping
 
 
@@ -643,10 +644,9 @@ def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
         )
     affinity = partitioner.affinity_from_embeddings(features)
     dist = partitioner.distance_from_affinity(affinity, p["strategy"])
-    seed = _block_seed(cfg, "partitioner", 4)
     embedded = partitioner.mds_embed(dist, n_dims=embed_dims, steps=steps)
     assignment = partitioner.constrained_kmeans(
-        embedded.coords, num_towers, balance, seed=seed
+        embedded.coords, num_towers, balance, seed=_block_seed(cfg, 4)
     )
     score = partitioner.partition_score(assignment, affinity, p["strategy"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -90,18 +90,6 @@ class TowerLayout:
         return list(range(tower * width, (tower + 1) * width))
 
 
-def peer_order(topo: ClusterTopology, layout: TowerLayout) -> tuple[int, ...]:
-    """Total order of ranks keyed by (rank % num_towers, rank // ranks_per_host).
-
-    Key collisions (possible when num_towers < ranks_per_host) break by
-    ascending rank so the order is reproducible.
-    """
-    layout.validate_for(topo)
-    ranks = range(topo.world_size)
-    key = lambda g: (g % layout.num_towers, g // topo.ranks_per_host, g)
-    return tuple(sorted(ranks, key=key))
-
-
 def class_order(topo: ClusterTopology, layout: TowerLayout) -> tuple[int, ...]:
     """Ranks grouped by peer class: all ranks with local index 0, then 1, ...
 
@@ -109,7 +97,6 @@ def class_order(topo: ClusterTopology, layout: TowerLayout) -> tuple[int, ...]:
     is {c, c+w, c+2w, ...}). Consecutive chunks of num_towers entries are
     exactly the peer-class collective groups; the exchange permutes its
     destination blocks into this order before the intra-tower shuffle.
-    Coincides with peer_order whenever num_towers equals the group width.
     """
     layout.validate_for(topo)
     width = layout.group_width(topo)

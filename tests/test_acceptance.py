@@ -23,7 +23,7 @@ from towersim.partitioner import (
     stress,
     stress_gradient,
 )
-from towersim.topology import ClusterTopology, TowerLayout, peer_order
+from towersim.topology import ClusterTopology, TowerLayout, class_order
 from towersim.towermod import (
     TMConfig,
     balanced_group_sizes,
@@ -81,9 +81,9 @@ def test_criterion_1_semantic_preservation(equivalence_suite):
     announce(1, f"200/200 randomized configs exact after realign in {elapsed:.1f}s")
 
 
-def test_criterion_2_peer_order():
+def test_criterion_2_peer_class_order():
     topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    order = peer_order(topo, TowerLayout(2))
+    order = class_order(topo, TowerLayout(2))
     assert order == (0, 2, 1, 3)
     announce(2, "peer order for 4 ranks over 2 hosts is (0, 2, 1, 3)")
 

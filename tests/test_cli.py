@@ -186,11 +186,20 @@ def test_explicit_layout_assignment_errors(tmp_path, capsys, explicit, error):
     assert not out.exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_configuration_lists_the_defaults():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == load_config()
+
+
+def test_readme_python_blocks_run():
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], str(README), "exec"), {})
 
 
 def test_config_validation_paths(tmp_path, capsys):
@@ -296,6 +305,33 @@ def test_negative_random_sweep_seed_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: seed: must be >= 0\n"
 
 
+@pytest.mark.parametrize("block", ["tables", "batch", "tm", "partitioner"])
+def test_block_seed_is_unknown_config_key(tmp_path, capsys, block):
+    # Every block draws from the top-level seed; a per-block seed is no key.
+    cfg = write_config(tmp_path, {block: {"seed": 1}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "verify"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unknown config key '{block}.seed'\n"
+
+
+def test_block_seed_sweep_is_unknown_field(tmp_path, capsys):
+    argv = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
+            "cost", "--sweep", "batch.seed=1,2"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: sweep key 'batch.seed': unknown field\n"
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["config", "sweep"])
+def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
+    def run(hosts):
+        cfg = write_config(tmp_path, {} if swept else {"topology": {"num_hosts": hosts}})
+        command = ["cost", "--sweep", f"topology.num_hosts={hosts},4"] if swept else ["verify"]
+        return main(["--config", str(cfg), "--out", str(tmp_path / "out"), *command])
+
+    assert run(2.5) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: topology.num_hosts: 2.5 is not an integer\n"
+    assert run(2.0) == EXIT_OK  # an integral float is an integer
+
+
 def test_partition_nan_embedding_is_ingestion_error(tmp_path, rng, capsys):
     features = blobs_csv(tmp_path, rng)
     with open(features, "a") as fh:
@@ -388,6 +424,17 @@ def test_ingestion_errors(tmp_path, capsys):
         read_assignment(assignment)
     code = main(["--config", str(cfg), "verify", "--assignment", str(assignment)])
     assert code == EXIT_IO
+
+
+def test_assignment_feature_listed_twice_is_ingestion_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assignment = tmp_path / "assignment.txt"
+    assignment.write_text("0\t0\n1\t0\n2\t1\n3\t1\n0\t1\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"),
+            "verify", "--assignment", str(assignment)]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"i/o error: {assignment}:5: feature 0 listed twice\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cost_single_row_speedup_one_when_identical(tmp_path):

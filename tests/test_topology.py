@@ -7,7 +7,6 @@ from towersim.topology import (
     class_members,
     class_order,
     link_classes,
-    peer_order,
 )
 
 
@@ -53,27 +52,21 @@ def test_class_members_partition_ranks():
         assert sorted(seen) == list(range(topo.world_size))
 
 
-def test_peer_order_paper_example():
+def test_class_order_paper_example():
     topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    assert peer_order(topo, TowerLayout(2)) == (0, 2, 1, 3)
+    assert class_order(topo, TowerLayout(2)) == (0, 2, 1, 3)
 
 
-def test_peer_order_singleton():
+def test_class_order_singleton():
     topo = ClusterTopology(num_hosts=1, ranks_per_host=1)
-    assert peer_order(topo, TowerLayout(1)) == (0,)
+    assert class_order(topo, TowerLayout(1)) == (0,)
 
 
-def test_peer_order_key_with_tiebreak():
-    # Key (g % 2, g // 4) collides within a host; ascending rank breaks ties.
-    topo = ClusterTopology(num_hosts=2, ranks_per_host=4)
-    assert peer_order(topo, TowerLayout(2)) == (0, 2, 4, 6, 1, 3, 5, 7)
-
-
-def test_peer_order_is_bijection_and_host_stable():
+def test_class_order_is_bijection_and_host_stable():
     for hosts, per_host, hpt in [(2, 2, 1), (4, 4, 1), (4, 2, 2), (8, 4, 1), (16, 4, 1)]:
         topo = ClusterTopology(num_hosts=hosts, ranks_per_host=per_host)
         towers = topo.world_size // (per_host * hpt)
-        order = peer_order(topo, TowerLayout(towers, hpt))
+        order = class_order(topo, TowerLayout(towers, hpt))
         assert sorted(order) == list(range(topo.world_size))
         for host in range(hosts):
             members = [g for g in order if g // per_host == host]
@@ -89,13 +82,6 @@ def test_class_order_groups_peer_classes():
     for cls in range(4):
         chunk = list(order[cls * 2:(cls + 1) * 2])
         assert chunk == class_members(cls, topo, layout)
-
-
-def test_class_order_matches_peer_order_when_square():
-    # num_towers == group width: both keys coincide.
-    topo = ClusterTopology(num_hosts=2, ranks_per_host=2)
-    layout = TowerLayout(2)
-    assert class_order(topo, layout) == peer_order(topo, layout)
 
 
 def test_link_class():
