@@ -53,7 +53,7 @@ from .errors import (
 )
 from .simnet import CommTrace
 from .topology import ClusterTopology, TowerLayout
-from .towermod import PASSTHROUGH, TMConfig
+from .towermod import TMConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,8 +87,9 @@ def _defaults(cls, names: tuple[str, ...], **derived) -> dict:
     return {name: getattr(cls, name) for name in names} | derived
 
 
-# exchange, tm and cost take their defaults from the dataclasses they fill. A
-# None efficiency ({world: factor}) is derived when the run is built.
+# exchange and cost take their defaults from the dataclasses they fill, tm its
+# sizes. A None efficiency ({world: factor}) is derived when the run is built.
+PASSTHROUGH = "passthrough"  # the tm.kind that runs no tower module
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "output_dir": "out",
@@ -112,7 +113,7 @@ DEFAULT_CONFIG: dict = {
     },
     "batch": {"local_size": 2},
     "exchange": _defaults(exchange.ExchangeOptions, exchange.SWITCHES),
-    "tm": _defaults(TMConfig, ("kind", *towermod.SIZES)),
+    "tm": _defaults(TMConfig, towermod.SIZES, kind=PASSTHROUGH),
     "partitioner": {
         "strategy": "coherent",
         "num_towers": 2,
@@ -130,7 +131,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}: must be a mapping")
             out[key] = _merge(out[key], value, where)
         else:
             out[key] = value
@@ -161,14 +164,17 @@ def _require(condition: bool, field: str, message: str) -> None:
 
 
 def _num(value, field: str, kind=int):
-    """``value`` cast to ``kind``; a value that is not a number, or not a
-    whole one where ``kind`` is int, is a ConfigError naming the dotted ``field``."""
+    """``value`` cast to ``kind``; a non-number, a fractional int or a
+    non-finite float is a ConfigError naming the dotted ``field``."""
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{field}: {value!r} is not an integer")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field}: {value!r} is not a number") from None
+    if kind is float and not np.isfinite(number):
+        raise ConfigError(f"{field}: {number!r} is not a finite number")
+    return number
 
 
 def build_topology(cfg: dict) -> ClusterTopology:
@@ -298,10 +304,10 @@ def build_batch(
     return make_batch(topo, tables, size, hotness, _block_seed(cfg, 2))
 
 
-def build_tm(cfg: dict) -> TMConfig:
+def build_tm(cfg: dict) -> Optional[TMConfig]:
     t = cfg["tm"]
     if t["kind"] == PASSTHROUGH:
-        return TMConfig()
+        return None
     sizes = {name: _num(t[name], f"tm.{name}") for name in towermod.SIZES}
     return TMConfig(kind=t["kind"], seed=_block_seed(cfg, 3), **sizes)
 
@@ -717,18 +723,6 @@ def parse_sweep(spec: str) -> tuple[str, list]:
     return key, out
 
 
-def _set_path(cfg: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"sweep key {dotted!r}: no config block {part!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"sweep key {dotted!r}: unknown field")
-    node[parts[-1]] = value
-
-
 def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
     combos: list[list[tuple[str, object]]] = [[]]
     for key, values in sweeps:
@@ -736,9 +730,12 @@ def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
     combos.sort(key=lambda combo: tuple(v for _, v in combo))
     rows = []
     for combo in combos:
-        one = copy.deepcopy(cfg)
+        one = cfg
         for key, value in combo:
-            _set_path(one, key, value)
+            override = value
+            for part in reversed(key.split(".")):
+                override = {part: override}
+            one = _merge(one, override)
         row = cost_one(one)
         row["config"] = ";".join(f"{k}={v}" for k, v in combo) or "base"
         rows.append(row)

@@ -60,7 +60,7 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in RATES:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
         if self.beta_up < self.beta_out:
             warnings.warn(

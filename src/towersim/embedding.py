@@ -225,12 +225,19 @@ class ShardedEmbedding:
         return table.values[r0:r1, c0:c1]
 
     def validate_tiling(self) -> None:
-        """Every (row, col) cell of every table is covered exactly once."""
+        """Every (row, col) cell of every table is covered exactly once: each
+        shard lies inside its table, no two overlap, and their areas sum to
+        the table's."""
         for tid, table in self.tables.items():
-            cover = np.zeros((table.rows, table.dim), dtype=np.int64)
-            for s in self.shards_of(tid):
-                cover[s.row_range[0]:s.row_range[1], s.col_range[0]:s.col_range[1]] += 1
-            if not np.all(cover == 1):
+            rects = [(*s.row_range, *s.col_range) for s in self.shards_of(tid)]
+            inside = all(0 <= r0 <= r1 <= table.rows and 0 <= c0 <= c1 <= table.dim
+                         for r0, r1, c0, c1 in rects)
+            overlap = any(
+                min(a[1], b[1]) > max(a[0], b[0]) and min(a[3], b[3]) > max(a[2], b[2])
+                for a, b in itertools.combinations(rects, 2)
+            )
+            area = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in rects)
+            if not inside or overlap or area != table.rows * table.dim:
                 raise PlanError(f"table {tid} shards do not tile it exactly")
 
 

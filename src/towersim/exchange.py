@@ -52,7 +52,6 @@ from .simnet import (
 )
 from .topology import ClusterTopology, TowerLayout, class_members, class_order
 from .towermod import (
-    PASSTHROUGH,
     TMConfig,
     init_tm_weights,
     tm_flops,
@@ -88,13 +87,13 @@ class ExchangeOptions:
     checking that they give the same results. rowwise_reducescatter sums
     row-wise partial pools inside a reduce-scatter at step d instead of
     shipping per-shard partials and summing at the receiver. tower_modules
-    is the one TMConfig every tower applies (passthrough by default).
+    is the one TMConfig every tower applies; None, the default, is passthrough.
     """
 
     swap_bc: bool = False
     omit_permute: bool = False
     rowwise_reducescatter: bool = False
-    tower_modules: TMConfig = TMConfig()
+    tower_modules: Optional[TMConfig] = None
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,15 @@ class ExchangeResult:
 def _combine_pieces(pieces: list[tuple]) -> np.ndarray:
     """Assemble one feature from (shard, matrix) pieces.
 
-    Column/table shards concatenate in column order; row shards sum. A lone
-    piece is returned uncopied, so callers must not write into the result.
+    Column/table shards concatenate in column order; row shards sum in rank
+    order, the order reduce_scatter sums them in. A lone piece is returned
+    uncopied, so callers must not write into the result.
     """
     if len(pieces) == 1:
         return pieces[0][1]
     schemes = {shard.scheme for shard, _ in pieces}
     if schemes == {ROW_WISE}:
-        ordered = sorted(pieces, key=lambda sm: sm[0].row_range)
+        ordered = sorted(pieces, key=lambda sm: sm[0].rank)
         total = ordered[0][1].copy()
         for _, mat in ordered[1:]:
             total += mat
@@ -216,7 +216,7 @@ def _reduce_scattered(
 
 
 def _step_e_shape(
-    cfg: TMConfig,
+    cfg: Optional[TMConfig],
     placement: ShardedEmbedding,
     feats: list[int],
     tower: int,
@@ -225,11 +225,11 @@ def _step_e_shape(
 ) -> tuple[int, int, float]:
     """(in_dim, width, flops) of one tower's step e.
 
-    in_dim is the embedding dim its tower module reads (0 under
-    passthrough), width the columns of its block for each destination, and
+    in_dim is the embedding dim its tower module reads (0 without a
+    module), width the columns of its block for each destination, and
     flops the work of each of its ranks: one forward per destination tower.
     """
-    if cfg.kind == PASSTHROUGH:
+    if cfg is None:
         return 0, sum(placement.tables[f].dim for f in feats), 0.0
     dims = {placement.tables[f].dim for f in feats}
     if len(dims) > 1:
@@ -442,7 +442,7 @@ def tower_exchange(
             cfg, placement, feats, tower, num_towers, batch_size
         )
         tm_work = max(tm_work, flops)
-        if cfg.kind == PASSTHROUGH:
+        if cfg is None:
             layout_blocks.extend(("feature", f, placement.tables[f].dim) for f in feats)
         else:
             weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
@@ -452,7 +452,7 @@ def tower_exchange(
             for j in range(num_towers):
                 rows = slice(j * batch_size, (j + 1) * batch_size)
                 mats = [assembled[rank][f][rows] for f in feats]
-                if cfg.kind == PASSTHROUGH:
+                if cfg is None:
                     per_dest.append(
                         np.concatenate(mats, axis=1) if mats else np.zeros((batch_size, 0))
                     )

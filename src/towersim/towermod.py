@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-PASSTHROUGH = "passthrough"
 DLRM = "dlrm"
 DCN = "dcn"
-KINDS = (PASSTHROUGH, DLRM, DCN)
+KINDS = (DLRM, DCN)
 # The TMConfig fields that size a tower module, in field order.
 SIZES = ("out_dim", "per_feature_outputs", "flat_outputs", "cross_layers")
 
@@ -29,10 +28,10 @@ class TMConfig:
     For the dlrm flavor the output width is out_dim * (per_feature_outputs *
     num_features + flat_outputs): one projection applied per feature plus one
     over the flattened feature block. For the dcn flavor it is num_features *
-    out_dim. Passthrough ignores every numeric field.
+    out_dim. A tower without a module has no TMConfig.
     """
 
-    kind: str = PASSTHROUGH
+    kind: str
     out_dim: int = 64
     per_feature_outputs: int = 1
     flat_outputs: int = 0
@@ -47,7 +46,7 @@ class TMConfig:
                 raise DomainError("per_feature_outputs and flat_outputs must be >= 0")
             if self.per_feature_outputs + self.flat_outputs < 1:
                 raise DomainError("dlrm flavor needs per_feature_outputs + flat_outputs >= 1")
-        if self.kind != PASSTHROUGH and self.out_dim < 1:
+        if self.out_dim < 1:
             raise DomainError("out_dim must be >= 1")
         if self.kind == DCN and self.cross_layers < 1:
             raise DomainError("cross_layers must be >= 1")
@@ -79,8 +78,6 @@ def init_tm_weights(cfg: TMConfig, num_features: int, in_dim: int, salt: int = 0
     ``salt`` keeps towers with identical shapes from sharing weights.
     """
     rng = np.random.default_rng([cfg.seed, salt, num_features, in_dim])
-    if cfg.kind == PASSTHROUGH:
-        return None
     if cfg.kind == DLRM:
         flat_in = num_features * in_dim
         return DLRMWeights(
@@ -102,8 +99,6 @@ def init_tm_weights(cfg: TMConfig, num_features: int, in_dim: int, salt: int = 0
 
 
 def tm_output_width(cfg: TMConfig, num_features: int, in_dim: int) -> int:
-    if cfg.kind == PASSTHROUGH:
-        return num_features * in_dim
     if cfg.kind == DLRM:
         return cfg.out_dim * (cfg.per_feature_outputs * num_features + cfg.flat_outputs)
     return num_features * cfg.out_dim
@@ -161,8 +156,6 @@ def tm_dcn_forward(embs: np.ndarray, cfg: TMConfig, weights: DCNWeights) -> np.n
 
 
 def tm_forward(embs: np.ndarray, cfg: TMConfig, weights) -> np.ndarray:
-    if cfg.kind == PASSTHROUGH:
-        return embs.reshape(embs.shape[0], -1)
     if cfg.kind == DLRM:
         return tm_dlrm_forward(embs, cfg, weights)
     return tm_dcn_forward(embs, cfg, weights)
@@ -174,8 +167,6 @@ def tm_weight_jvp(embs: np.ndarray, cfg: TMConfig, weights, direction) -> np.nda
     ``direction`` carries the same field shapes as ``weights``. Checked in
     tests against central finite differences.
     """
-    if cfg.kind == PASSTHROUGH:
-        return np.zeros((embs.shape[0], tm_output_width(cfg, embs.shape[1], embs.shape[2])))
     batch, num_features, in_dim = embs.shape
     if cfg.kind == DLRM:
         flat = embs.reshape(batch, num_features * in_dim)
@@ -195,8 +186,6 @@ def tm_weight_jvp(embs: np.ndarray, cfg: TMConfig, weights, direction) -> np.nda
 
 def tm_flops(cfg: TMConfig, num_features: int, in_dim: int, batch: int) -> float:
     """Multiply-add count of one forward pass (2 flops per multiply-add)."""
-    if cfg.kind == PASSTHROUGH or num_features == 0:
-        return 0.0
     if cfg.kind == DLRM:
         flat = num_features * in_dim
         return 2.0 * batch * (

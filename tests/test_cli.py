@@ -53,6 +53,22 @@ def test_verify_exact_match(tmp_path, capsys):
     assert "exact match" in capsys.readouterr().out
 
 
+def test_verify_float_rowwise_reducescatter_matches(tmp_path, capsys):
+    # Table 1's three row shards sit on ranks 3, 0 and 1: the tower run sums
+    # them in a reduce-scatter in rank order, and the baseline must sum its
+    # pieces in that order too, or float tables differ in the last bit.
+    cfg = write_config(tmp_path, {
+        "topology": {"num_hosts": 1, "ranks_per_host": 4},
+        "tables": {"count": 2, "rows": 64, "dim": 4, "hotness": [0, 5],
+                   "sharding": "row_wise", "shards_per_table": 3,
+                   "integer_values": False},
+        "batch": {"local_size": 8},
+        "exchange": {"rowwise_reducescatter": True},
+    })
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "verify"]) == EXIT_OK
+    assert capsys.readouterr().out == "result: exact match\n"
+
+
 @pytest.mark.parametrize("kind", ["dlrm", "dcn"])
 def test_verify_rejects_tower_modules(tmp_path, capsys, kind):
     cfg = write_config(tmp_path, {"tm": {"kind": kind}})
@@ -317,7 +333,31 @@ def test_block_seed_sweep_is_unknown_field(tmp_path, capsys):
     argv = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
             "cost", "--sweep", "batch.seed=1,2"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: sweep key 'batch.seed': unknown field\n"
+    assert capsys.readouterr().err == "config error: unknown config key 'batch.seed'\n"
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["config", "sweep"])
+def test_block_given_as_scalar_is_config_error(tmp_path, capsys, swept):
+    cfg = write_config(tmp_path, {} if swept else {"tables": 5})
+    command = ["cost", "--sweep", "tm=1,2"] if swept else ["verify"]
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *command]) == EXIT_CONFIG
+    block = "tm" if swept else "tables"
+    assert capsys.readouterr().err == f"config error: {block}: must be a mapping\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("block, field", [("cost", "beta_out"), ("partitioner", "balance")])
+def test_nonfinite_float_is_config_error(tmp_path, rng, capsys, block, field, value):
+    cfg = write_config(tmp_path, {block: {field: value}})
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    if block == "cost":
+        argv += ["cost"]
+    else:
+        argv += ["partition", "--embeddings", str(blobs_csv(tmp_path, rng))]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {block}.{field}: {value!r} is not a finite number\n"
+    )
 
 
 @pytest.mark.parametrize("swept", [False, True], ids=["config", "sweep"])
@@ -330,6 +370,15 @@ def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
     assert run(2.5) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: topology.num_hosts: 2.5 is not an integer\n"
     assert run(2.0) == EXIT_OK  # an integral float is an integer
+
+
+def test_partition_warns_when_embed_dims_not_below_source_dim(tmp_path, rng, capsys):
+    features = blobs_csv(tmp_path, rng, dim=2)
+    cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": 300}})
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "part"),
+                 "partition", "--embeddings", str(features)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == "warning: embed_dims=2 not below source dim 2\n"
 
 
 def test_partition_nan_embedding_is_ingestion_error(tmp_path, rng, capsys):
@@ -491,6 +540,21 @@ def test_cost_compression_sweep_stepf_decreasing(tmp_path):
     assert all(b < a for a, b in zip(stepf, stepf[1:]))
     ratios = [float(r["compression_ratio"]) for r in rows]
     assert ratios == [2.0, 4.0, 8.0, 16.0]
+
+
+def test_cost_efficiency_mapping(tmp_path, capsys):
+    def baseline_s(efficiency):
+        cfg = write_config(tmp_path, {"cost": {"efficiency": efficiency}})
+        out = tmp_path / "cost"
+        assert main(["--config", str(cfg), "--out", str(out), "cost"]) == EXIT_OK
+        with open(out / "sweep.csv") as fh:
+            return float(next(csv.DictReader(fh))["baseline_s"])
+
+    # The world-4 collectives run at half the default's link efficiency.
+    assert baseline_s({1: 1.0, 4: 0.5}) > baseline_s(None)
+    cfg = write_config(tmp_path, {"cost": {"efficiency": 0.5}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "cost"), "cost"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cost.efficiency: need {world: factor}\n"
 
 
 def test_cost_rows_sorted_by_swept_values(tmp_path):

@@ -136,8 +136,11 @@ def test_tiling_completeness_random(rng):
         [(0, 2), (1, 3)],  # overlap: row 1 covered twice, row 3 not at all
         [(0, 1), (2, 4)],  # gap: row 1 uncovered
         [(0, 2), (3, 5)],  # past the edge of a 4-row table, row 2 uncovered
+        [(0, 2), (2, 5)],  # covers rows 0-3 once, but runs past the edge
+        [(0, 2), (2, 4), (6, 9)],  # a third shard wholly outside the table
+        [(-1, 0), (0, 4)],  # a shard starting before row 0
     ],
-    ids=["overlap", "gap", "past-edge"],
+    ids=["overlap", "gap", "past-edge", "overhang", "outside", "negative"],
 )
 def test_validate_tiling_rejects_bad_rectangles(row_ranges):
     tables = {0: init_table_deterministic(0, 4, 2, integer=True)}
