@@ -16,8 +16,9 @@ import argparse
 import copy
 import csv
 import sys
+import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -27,10 +28,8 @@ from .embedding import (
     COLUMN_WISE,
     ROW_WISE,
     SCHEMES,
+    TABLE_SIZES,
     TABLE_WISE,
-    EmbeddingTable,
-    ShardedEmbedding,
-    SparseBatch,
     TablePlan,
     init_table_deterministic,
     make_batch,
@@ -50,6 +49,7 @@ from .errors import (
     ShapeError,
     TableLookupError,
     TowersimError,
+    check_minimums,
 )
 from .simnet import CommTrace
 from .topology import ClusterTopology, TowerLayout
@@ -82,7 +82,7 @@ EXIT_CODES: dict[type, tuple[int, str]] = {
 }
 
 
-def _defaults(cls, names: tuple[str, ...], **derived) -> dict:
+def _defaults(cls, names: Iterable[str], **derived) -> dict:
     """A config block: dataclass ``cls``'s own defaults for ``names``, then ``derived``."""
     return {name: getattr(cls, name) for name in names} | derived
 
@@ -90,6 +90,7 @@ def _defaults(cls, names: tuple[str, ...], **derived) -> dict:
 # exchange and cost take their defaults from the dataclasses they fill, tm its
 # sizes. A None efficiency ({world: factor}) is derived when the run is built.
 PASSTHROUGH = "passthrough"  # the tm.kind that runs no tower module
+ASSIGNMENTS = ("contiguous", "strided", "explicit")
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "output_dir": "out",
@@ -125,7 +126,55 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# The bound of each field that no dataclass owns: a minimum, or a tuple of
+# the values it may take. ClusterTopology, EmbeddingTable (rows, dim),
+# TablePlan (shards_per_table), TMConfig and CostParams state the others.
+RULES = {
+    "seed": 0,
+    "layout.hosts_per_tower": 1,
+    "layout.assignment": ASSIGNMENTS,
+    "tables.count": 1,
+    "tables.sharding": SCHEMES,
+    "batch.local_size": 1,
+    "partitioner.strategy": partitioner.STRATEGIES,
+    "partitioner.num_towers": 1,
+    "partitioner.balance": 1,
+    "partitioner.embed_dims": 1,
+    "partitioner.steps": 1,
+}
+
+
+def _require(condition: bool, field: str, message: str) -> None:
+    if not condition:
+        raise ConfigError(f"{field}: {message}")
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _num(value, field: str, kind=int):
+    """``value`` as a ``kind`` of _TYPE_NAMES, or a ConfigError naming the
+    dotted ``field``. A bool or str field takes only its own type, and a
+    bool is no number; an int must be whole and a float finite."""
+    if kind in (bool, str) or type(value) is bool:
+        if type(value) is not kind:
+            raise ConfigError(f"{field}: {value!r} is not {_TYPE_NAMES[kind]}")
+        return value
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{field}: {value!r} is not an integer")
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{field}: {value!r} is not a number") from None
+    if kind is float and not np.isfinite(number):
+        raise ConfigError(f"{field}: {number!r} is not a finite number")
+    return number
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """``base`` with ``override``'s values; a value whose default is a bool,
+    int, float or str takes that type through _num. tables.hotness (1 or
+    [lo, hi]) and the None defaults are checked where they are built."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -135,6 +184,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: must be a mapping")
             out[key] = _merge(out[key], value, where)
+        elif type(out[key]) in _TYPE_NAMES and where != "tables.hotness":
+            out[key] = _num(value, where, type(out[key]))
         else:
             out[key] = value
     return out
@@ -150,76 +201,59 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         cfg = _merge(cfg, loaded)
     if overrides:
         cfg = _merge(cfg, overrides)
+    return check_config(cfg)
+
+
+def check_config(cfg: dict) -> dict:
+    """``cfg`` once every field of every block meets its bound, whichever
+    command runs. A DomainError that a dataclass raises while its block is
+    built leads with the field's name, and becomes a ConfigError naming
+    ``<block>.<field>``. Bounds that span blocks are checked by RunContext."""
+    for path, rule in RULES.items():
+        block, _, name = path.rpartition(".")
+        value = (cfg[block] if block else cfg)[name]
+        if isinstance(rule, tuple):
+            _require(value in rule, path, f"must be one of {rule}")
+        else:
+            _require(value >= rule, path, f"must be >= {rule}")
+    for block, check in (
+        ("topology", build_topology), ("tables", check_tables),
+        ("tm", build_tm), ("cost", build_cost_params),
+    ):
+        try:
+            check(cfg)
+        except DomainError as exc:
+            raise ConfigError(f"{block}.{exc}") from None
     return cfg
 
 
 def _block_seed(cfg: dict, salt: int) -> int:
     """One block's seed, derived from the run's ``seed`` and the block's ``salt``."""
-    return (_num(cfg["seed"], "seed") * 1_000_003 + salt) % (2**63)
-
-
-def _require(condition: bool, field: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{field}: {message}")
-
-
-def _num(value, field: str, kind=int):
-    """``value`` cast to ``kind``; a non-number, a fractional int or a
-    non-finite float is a ConfigError naming the dotted ``field``."""
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{field}: {value!r} is not an integer")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: {value!r} is not a number") from None
-    if kind is float and not np.isfinite(number):
-        raise ConfigError(f"{field}: {number!r} is not a finite number")
-    return number
+    return (cfg["seed"] * 1_000_003 + salt) % (2**63)
 
 
 def build_topology(cfg: dict) -> ClusterTopology:
-    t = cfg["topology"]
-    hosts = _num(t["num_hosts"], "topology.num_hosts")
-    per_host = _num(t["ranks_per_host"], "topology.ranks_per_host")
-    _require(hosts >= 1, "topology.num_hosts", "must be >= 1")
-    _require(per_host >= 1, "topology.ranks_per_host", "must be >= 1")
-    return ClusterTopology(num_hosts=hosts, ranks_per_host=per_host)
+    return ClusterTopology(**cfg["topology"])
 
 
-def build_layout(cfg: dict, topo: ClusterTopology) -> TowerLayout:
-    h = _num(cfg["layout"]["hosts_per_tower"], "layout.hosts_per_tower")
-    _require(h >= 1, "layout.hosts_per_tower", "must be >= 1")
-    group = topo.ranks_per_host * h
-    _require(
-        topo.world_size % group == 0,
-        "layout.hosts_per_tower",
-        f"world size {topo.world_size} not divisible by ranks_per_host*hosts_per_tower={group}",
-    )
-    return TowerLayout(num_towers=topo.world_size // group, hosts_per_tower=h)
-
-
-def build_tables(cfg: dict) -> tuple[dict[int, EmbeddingTable], dict[int, object]]:
-    t = cfg["tables"]
-    count = _num(t["count"], "tables.count")
-    rows, dim = _num(t["rows"], "tables.rows"), _num(t["dim"], "tables.dim")
-    _require(count >= 1, "tables.count", "must be >= 1")
-    _require(t["sharding"] in SCHEMES, "tables.sharding", f"must be one of {SCHEMES}")
-    seed = _block_seed(cfg, 1)
-    tables = {
-        tid: init_table_deterministic(tid, rows, dim, seed, bool(t["integer_values"]))
-        for tid in range(count)
-    }
-    hot = t["hotness"]
+def _hotness(hot) -> object:
+    """tables.hotness as make_batch takes it: 1, or an inclusive (lo, hi)."""
     if isinstance(hot, (list, tuple)):
         _require(len(hot) == 2, "tables.hotness", "need [lo, hi]")
         lo, hi = (_num(h, "tables.hotness") for h in hot)
         _require(0 <= lo <= hi, "tables.hotness", "need [lo, hi]")
-        hotness = {tid: (lo, hi) for tid in range(count)}
-    else:
-        _require(_num(hot, "tables.hotness") == 1, "tables.hotness",
-                 "scalar hotness must be 1 (single-hot)")
-        hotness = {tid: 1 for tid in range(count)}
-    return tables, hotness
+        return lo, hi
+    _require(_num(hot, "tables.hotness") == 1, "tables.hotness",
+             "scalar hotness must be 1 (single-hot)")
+    return 1
+
+
+def check_tables(cfg: dict) -> None:
+    """The tables block's bounds, without building a table."""
+    t = cfg["tables"]
+    check_minimums(t, TABLE_SIZES)
+    TablePlan(t["sharding"], t["shards_per_table"]).pieces(t["rows"], t["dim"])
+    _hotness(t["hotness"])
 
 
 def _known_towers(mapping: dict[int, int], num_towers: int, field: str) -> dict[int, int]:
@@ -237,84 +271,30 @@ def build_assignment(
 ) -> dict[int, int]:
     if assignment_path is not None:
         mapping = read_assignment(assignment_path)
-        _require(
-            sorted(mapping) == list(range(num_features)),
-            "assignment",
-            f"{assignment_path} does not cover features 0..{num_features - 1}",
-        )
+        _require(sorted(mapping) == list(range(num_features)), "assignment",
+                 f"{assignment_path} does not cover features 0..{num_features - 1}")
         return _known_towers(mapping, layout.num_towers, "assignment")
     mode = cfg["layout"]["assignment"]
     towers = layout.num_towers
-    _require(
-        num_features >= towers,
-        "tables.count",
-        f"need at least num_towers={towers} features",
-    )
+    _require(num_features >= towers, "tables.count", f"need at least num_towers={towers} features")
     if mode == "contiguous":
         sizes = towermod.balanced_group_sizes(num_features, towers)
-        mapping, feat = {}, 0
-        for tower, size in enumerate(sizes):
-            for _ in range(size):
-                mapping[feat] = tower
-                feat += 1
-        return mapping
+        return dict(enumerate(tower for tower, size in enumerate(sizes) for _ in range(size)))
     if mode == "strided":
         return {f: f % towers for f in range(num_features)}
-    if mode == "explicit":
-        explicit = cfg["layout"]["explicit"]
-        _require(
-            isinstance(explicit, list) and len(explicit) == num_features,
-            "layout.explicit",
-            f"need a list of {num_features} tower ids",
-        )
-        mapping = {f: _num(t, "layout.explicit") for f, t in enumerate(explicit)}
-        return _known_towers(mapping, towers, "layout.explicit")
-    raise ConfigError(f"layout.assignment: unknown mode {mode!r}")
-
-
-def build_placement(
-    cfg: dict,
-    tables: dict[int, EmbeddingTable],
-    assignment: dict[int, int],
-    topo: ClusterTopology,
-    layout: TowerLayout,
-) -> ShardedEmbedding:
-    t = cfg["tables"]
-    scheme = t["sharding"]
-    shards = _num(t["shards_per_table"], "tables.shards_per_table")
-    plan = {}
-    for tid, table in tables.items():
-        per_table = 1 if scheme == TABLE_WISE else min(
-            shards,
-            table.dim if scheme == COLUMN_WISE else table.rows,
-            layout.group_width(topo),
-        )
-        plan[tid] = TablePlan(scheme, per_table, assignment[tid])
-    return shard_tables(tables, plan, topo, layout)
-
-
-def build_batch(
-    cfg: dict,
-    topo: ClusterTopology,
-    tables: dict[int, EmbeddingTable],
-    hotness: dict[int, object],
-) -> SparseBatch:
-    size = _num(cfg["batch"]["local_size"], "batch.local_size")
-    _require(size >= 1, "batch.local_size", "must be >= 1")
-    return make_batch(topo, tables, size, hotness, _block_seed(cfg, 2))
+    explicit = cfg["layout"]["explicit"]
+    _require(isinstance(explicit, list) and len(explicit) == num_features, "layout.explicit",
+             f"need a list of {num_features} tower ids")
+    mapping = {f: _num(t, "layout.explicit") for f, t in enumerate(explicit)}
+    return _known_towers(mapping, towers, "layout.explicit")
 
 
 def build_tm(cfg: dict) -> Optional[TMConfig]:
     t = cfg["tm"]
     if t["kind"] == PASSTHROUGH:
+        check_minimums(t, towermod.SIZES)  # unread, but a bad size is still an error
         return None
-    sizes = {name: _num(t[name], f"tm.{name}") for name in towermod.SIZES}
-    return TMConfig(kind=t["kind"], seed=_block_seed(cfg, 3), **sizes)
-
-
-def build_options(cfg: dict) -> exchange.ExchangeOptions:
-    switches = {name: bool(cfg["exchange"][name]) for name in exchange.SWITCHES}
-    return exchange.ExchangeOptions(tower_modules=build_tm(cfg), **switches)
+    return TMConfig(seed=_block_seed(cfg, 3), **t)
 
 
 def build_cost_params(cfg: dict) -> costmodel.CostParams:
@@ -328,26 +308,38 @@ def build_cost_params(cfg: dict) -> costmodel.CostParams:
             _num(k, "cost.efficiency"): _num(v, f"cost.efficiency.{k}", float)
             for k, v in efficiency.items()
         }
-    rates = {name: _num(c[name], f"cost.{name}", float) for name in costmodel.RATES}
-    return costmodel.CostParams(efficiency=efficiency, **rates)
+    return costmodel.CostParams(**(c | {"efficiency": efficiency}))
 
 
 class RunContext:
-    """Everything one exchange run needs, built from a config dict."""
+    """Everything one exchange run needs, built from a checked config dict."""
 
     def __init__(self, cfg: dict, assignment_path: Optional[str] = None):
         self.cfg = cfg
-        self.topo = build_topology(cfg)
-        self.layout = build_layout(cfg, self.topo)
-        self.tables, self.hotness = build_tables(cfg)
-        self.assignment = build_assignment(
-            cfg, self.layout, len(self.tables), assignment_path
+        t = cfg["tables"]
+        self.topo = topo = build_topology(cfg)
+        h = cfg["layout"]["hosts_per_tower"]
+        group = topo.ranks_per_host * h
+        _require(topo.world_size % group == 0, "layout.hosts_per_tower",
+                 f"world size {topo.world_size} not divisible by "
+                 f"ranks_per_host*hosts_per_tower={group}")
+        self.layout = TowerLayout(num_towers=topo.world_size // group, hosts_per_tower=h)
+        seed = _block_seed(cfg, 1)
+        self.tables = {
+            tid: init_table_deterministic(tid, t["rows"], t["dim"], seed, t["integer_values"])
+            for tid in range(t["count"])
+        }
+        self.hotness = dict.fromkeys(self.tables, _hotness(t["hotness"]))
+        self.assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
+        plan = {
+            tid: TablePlan(t["sharding"], t["shards_per_table"], tower)
+            for tid, tower in self.assignment.items()
+        }
+        self.placement = shard_tables(self.tables, plan, topo, self.layout)
+        self.batch = make_batch(
+            topo, self.tables, cfg["batch"]["local_size"], self.hotness, _block_seed(cfg, 2)
         )
-        self.placement = build_placement(
-            cfg, self.tables, self.assignment, self.topo, self.layout
-        )
-        self.batch = build_batch(cfg, self.topo, self.tables, self.hotness)
-        self.options = build_options(cfg)
+        self.options = exchange.ExchangeOptions(tower_modules=build_tm(cfg), **cfg["exchange"])
         self.plan = exchange.TowerPlan(self.layout, self.assignment)
 
     def baseline_plan(self) -> tuple[CommTrace, dict[str, float]]:
@@ -463,8 +455,10 @@ def random_config(rng: np.random.Generator) -> dict:
     """Draw one equivalence-suite configuration.
 
     Spans world sizes 2..16, 1/2/4 ranks per host, 1-2 hosts per tower,
-    2..32 features with mixed hotness, per-table dims, all sharding schemes,
-    and every exchange flag combination (driven by the rng).
+    2..32 features of one drawn rows x dim with mixed hotness, all sharding
+    schemes, and every exchange flag combination (driven by the rng). The
+    shard count is drawn up to the tower width, then capped at what the
+    table splits into, and is 1 under table_wise.
     """
     while True:
         ranks_per_host = int(rng.choice([1, 2, 4]))
@@ -498,6 +492,9 @@ def random_config(rng: np.random.Generator) -> dict:
         "batch": {"local_size": int(rng.integers(1, 4))},
         "exchange": {name: bool(rng.integers(0, 2)) for name in exchange.SWITCHES},
     }
+    t = overrides["tables"]  # the shard count this table and scheme take
+    t["shards_per_table"] = 1 if t["sharding"] == TABLE_WISE else min(
+        t["shards_per_table"], t["dim"] if t["sharding"] == COLUMN_WISE else t["rows"])
     return load_config(overrides=overrides)
 
 
@@ -633,26 +630,17 @@ def read_assignment(path) -> dict[int, int]:
 
 def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
     p = cfg["partitioner"]
-    steps = _num(p["steps"], "partitioner.steps")
-    embed_dims = _num(p["embed_dims"], "partitioner.embed_dims")
-    num_towers = _num(p["num_towers"], "partitioner.num_towers")
-    balance = _num(p["balance"], "partitioner.balance", float)
-    _require(steps >= 1, "partitioner.steps", "must be >= 1")
-    _require(embed_dims >= 1, "partitioner.embed_dims", "must be >= 1")
+    num_towers, embed_dims = p["num_towers"], p["embed_dims"]
     features = read_embeddings(embeddings_path)
     _require(features.shape[0] >= num_towers, "partitioner.num_towers",
              f"only {features.shape[0]} features for {num_towers} towers")
     if embed_dims >= features.shape[1]:
-        print(
-            f"warning: embed_dims={embed_dims} not below source dim "
-            f"{features.shape[1]}",
-            file=sys.stderr,
-        )
+        warnings.warn(f"embed_dims={embed_dims} not below source dim {features.shape[1]}")
     affinity = partitioner.affinity_from_embeddings(features)
     dist = partitioner.distance_from_affinity(affinity, p["strategy"])
-    embedded = partitioner.mds_embed(dist, n_dims=embed_dims, steps=steps)
+    embedded = partitioner.mds_embed(dist, n_dims=embed_dims, steps=p["steps"])
     assignment = partitioner.constrained_kmeans(
-        embedded.coords, num_towers, balance, seed=_block_seed(cfg, 4)
+        embedded.coords, num_towers, p["balance"], seed=_block_seed(cfg, 4)
     )
     score = partitioner.partition_score(assignment, affinity, p["strategy"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -698,7 +686,8 @@ def cost_one(cfg: dict) -> dict[str, float]:
 
 
 def parse_sweep(spec: str) -> tuple[str, list]:
-    """KEY=V1,V2,... or KEY=START..END (inclusive integer range)."""
+    """KEY=V1,V2,... or KEY=START..END (inclusive integer range); each V is
+    true, false or a number."""
     if "=" not in spec:
         raise ConfigError(f"sweep spec {spec!r} must look like key=values")
     key, _, values = spec.partition("=")
@@ -713,13 +702,16 @@ def parse_sweep(spec: str) -> tuple[str, list]:
         return key, list(range(lo, hi + 1))
     out = []
     for item in values.split(","):
+        if item in ("true", "false"):
+            out.append(item == "true")
+            continue
         try:
             out.append(int(item))
         except ValueError:
             try:
                 out.append(float(item))
             except ValueError:
-                raise ConfigError(f"sweep value {item!r} is not numeric") from None
+                raise ConfigError(f"sweep value {item!r} is not true, false or a number") from None
     return key, out
 
 
@@ -736,7 +728,7 @@ def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
             for part in reversed(key.split(".")):
                 override = {part: override}
             one = _merge(one, override)
-        row = cost_one(one)
+        row = cost_one(check_config(one))
         row["config"] = ";".join(f"{k}={v}" for k, v in combo) or "base"
         rows.append(row)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -800,42 +792,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        overrides: dict = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["output_dir"] = args.out
-        cfg = load_config(args.config, overrides)
-        out_dir = Path(cfg["output_dir"])
-        if args.command == "verify":
-            if args.random_sweep is not None:
-                seed = _num(cfg["seed"], "seed")
-                _require(seed >= 0, "seed", "must be >= 0")
-                matched, total, problems = run_random_sweep(args.random_sweep, seed)
-                print(f"{matched}/{total} exact")
-                for line in problems:
-                    print(line, file=sys.stderr)
-                return EXIT_OK if matched == total and not problems else EXIT_MISMATCH
-            return run_verify(cfg, out_dir, args.assignment)
-        if args.command == "partition":
-            return run_partition(cfg, args.embeddings, out_dir)
-        if args.command == "cost":
-            sweeps = [parse_sweep(s) for s in args.sweep]
-            return run_cost(cfg, sweeps, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except TowersimError as exc:
-        code, prefix = next(
-            EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES
-        )
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # keep the CLI contract: nonzero, named error
-        print(f"unexpected error: {exc!r}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():
+        # A library warning prints in the CLI's own form, once per command.
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            flags = {"seed": args.seed, "output_dir": args.out}
+            cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+            out_dir = Path(cfg["output_dir"])
+            if args.command == "verify":
+                if args.random_sweep is not None:
+                    matched, total, problems = run_random_sweep(args.random_sweep, cfg["seed"])
+                    print(f"{matched}/{total} exact")
+                    for line in problems:
+                        print(line, file=sys.stderr)
+                    return EXIT_OK if matched == total and not problems else EXIT_MISMATCH
+                return run_verify(cfg, out_dir, args.assignment)
+            if args.command == "partition":
+                return run_partition(cfg, args.embeddings, out_dir)
+            if args.command == "cost":
+                sweeps = [parse_sweep(s) for s in args.sweep]
+                return run_cost(cfg, sweeps, out_dir)
+            raise ConfigError(f"unknown command {args.command!r}")
+        except TowersimError as exc:
+            code, prefix = next(
+                EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES
+            )
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            return code
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except Exception as exc:  # keep the CLI contract: nonzero, named error
+            print(f"unexpected error: {exc!r}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -61,22 +61,20 @@ class CostParams:
     def __post_init__(self) -> None:
         for name in RATES:
             if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
+                raise DomainError(f"{name}: must be positive")
         if self.beta_up < self.beta_out:
             warnings.warn(
                 "scale-up bandwidth below scale-out bandwidth; unusual cluster",
                 stacklevel=3,
             )
-        worlds = sorted(self.efficiency)
-        if not worlds:
-            raise DomainError("efficiency table is empty")
-        last = None
-        for w in worlds:
-            f = self.efficiency[w]
+        if not self.efficiency:
+            raise DomainError("efficiency: table is empty")
+        last = 1.0
+        for w, f in sorted(self.efficiency.items()):
             if not 0 < f <= 1:
-                raise DomainError(f"efficiency({w}) = {f} outside (0, 1]")
-            if last is not None and f > last:
-                raise DomainError("efficiency table must be non-increasing")
+                raise DomainError(f"efficiency: factor {f} at world {w} outside (0, 1]")
+            if f > last:
+                raise DomainError("efficiency: must be non-increasing in world size")
             last = f
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import DomainError, PlanError, ShapeError, TableLookupError
+from .errors import DomainError, PlanError, ShapeError, TableLookupError, check_minimums
 from .topology import ClusterTopology, TowerLayout
 
 TABLE_WISE = "table_wise"
@@ -24,6 +24,8 @@ SCHEMES = (TABLE_WISE, COLUMN_WISE, ROW_WISE)
 
 POOL_NONE = "none"
 POOL_SUM = "sum"
+# The EmbeddingTable fields that size a table, each with its minimum.
+TABLE_SIZES = {"rows": 1, "dim": 1}
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,7 @@ class EmbeddingTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.dim < 1:
-            raise DomainError("table rows and dim must be >= 1")
+        check_minimums(vars(self), TABLE_SIZES)
         if self.values.shape != (self.rows, self.dim):
             raise ShapeError(
                 f"table {self.table_id} values shape {self.values.shape} "
@@ -190,19 +191,36 @@ class Shard:
 
 @dataclass(frozen=True)
 class TablePlan:
-    """Per-table sharding request: scheme, shard count, owning tower."""
+    """Per-table sharding request: scheme, shard count, owning tower.
+
+    A table_wise table is one shard. A column_wise or row_wise table splits
+    into shards_per_table column or row ranges, as many as it has columns or
+    rows; there may be more shards than its tower has ranks.
+    """
 
     scheme: str = TABLE_WISE
-    num_shards: int = 1
+    shards_per_table: int = 1
     tower: int = 0
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown sharding scheme {self.scheme!r}")
-        if self.num_shards < 1:
-            raise DomainError("num_shards must be >= 1")
-        if self.scheme == TABLE_WISE and self.num_shards != 1:
-            raise DomainError("table_wise placement uses exactly one shard")
+        check_minimums(vars(self), {"shards_per_table": 1})
+        if self.scheme == TABLE_WISE and self.shards_per_table != 1:
+            raise DomainError("shards_per_table: must be 1 under table_wise")
+
+    def pieces(self, rows: int, dim: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """The (row range, column range) of each shard of a rows x dim table."""
+        if self.scheme == TABLE_WISE:
+            return [((0, rows), (0, dim))]
+        total, unit = (dim, "columns") if self.scheme == COLUMN_WISE else (rows, "rows")
+        count = self.shards_per_table
+        if count > total:
+            raise DomainError(f"shards_per_table: cannot split {total} {unit} into {count} shards")
+        ranges = split_ranges(total, count)
+        if self.scheme == COLUMN_WISE:
+            return [((0, rows), cols) for cols in ranges]
+        return [(span, (0, dim)) for span in ranges]
 
 
 @dataclass
@@ -250,7 +268,8 @@ def shard_tables(
     """Place every table's shards on ranks inside its tower's host group.
 
     Shards are dealt round-robin over the tower's ranks with a per-tower
-    cursor, so tables spread evenly and placement is deterministic.
+    cursor, so tables spread evenly and placement is deterministic; a tower
+    with fewer ranks than shards gets several shards of a table on one rank.
     """
     layout.validate_for(topo)
     cursors = {t: 0 for t in range(layout.num_towers)}
@@ -265,15 +284,7 @@ def shard_tables(
         ranks = layout.tower_ranks(tp.tower, topo)
         if not ranks:
             raise PlanError(f"tower {tp.tower} has no ranks")
-
-        if tp.scheme == TABLE_WISE:
-            pieces = [((0, table.rows), (0, table.dim))]
-        elif tp.scheme == COLUMN_WISE:
-            pieces = [((0, table.rows), cr) for cr in split_ranges(table.dim, tp.num_shards)]
-        else:
-            pieces = [(rr, (0, table.dim)) for rr in split_ranges(table.rows, tp.num_shards)]
-
-        for row_range, col_range in pieces:
+        for row_range, col_range in tp.pieces(table.rows, table.dim):
             rank = ranks[cursors[tp.tower] % len(ranks)]
             cursors[tp.tower] += 1
             shards.append(Shard(tid, rank, tp.scheme, row_range, col_range))

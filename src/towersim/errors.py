@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one field-minimum check.
 
 cli.main maps each of these onto a process exit code through cli.EXIT_CODES:
 input-constraint errors exit as config errors, internal-invariant errors
@@ -56,3 +56,11 @@ class ReportError(TowersimError, ValueError):
 
 class InvariantError(TowersimError, RuntimeError):
     """An internal consistency check failed: a defect in towersim, not in its input."""
+
+
+def check_minimums(values: dict, minimums: dict[str, int]) -> None:
+    """Raise a DomainError, its message led by the field's name, for the first
+    field of ``values`` below its entry in ``minimums``."""
+    for name, low in minimums.items():
+        if values[name] < low:
+            raise DomainError(f"{name}: must be >= {low}")

@@ -25,6 +25,7 @@ pipelines are checked against them collective for collective (check_plan).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -123,19 +124,19 @@ class ExchangeResult:
 def _combine_pieces(pieces: list[tuple]) -> np.ndarray:
     """Assemble one feature from (shard, matrix) pieces.
 
-    Column/table shards concatenate in column order; row shards sum in rank
-    order, the order reduce_scatter sums them in. A lone piece is returned
-    uncopied, so callers must not write into the result.
+    Column/table shards concatenate in column order. Row shards sum in the
+    tower's reduce-scatter order: the shards on one rank in row order, then
+    those ranks' sums in rank order. A lone piece is returned uncopied, so
+    callers must not write into the result.
     """
     if len(pieces) == 1:
         return pieces[0][1]
     schemes = {shard.scheme for shard, _ in pieces}
     if schemes == {ROW_WISE}:
-        ordered = sorted(pieces, key=lambda sm: sm[0].rank)
-        total = ordered[0][1].copy()
-        for _, mat in ordered[1:]:
-            total += mat
-        return total
+        sums: dict[int, np.ndarray] = {}
+        for shard, mat in sorted(pieces, key=lambda sm: (sm[0].rank, sm[0].row_range)):
+            sums[shard.rank] = sums[shard.rank] + mat if shard.rank in sums else mat
+        return functools.reduce(np.add, sums.values())
     if ROW_WISE in schemes:
         raise PlanError("a table mixes row-wise and column-wise shards")
     ordered = sorted(pieces, key=lambda sm: sm[0].col_range)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_minimums
 
 SELF = "self"
 INTRA_HOST = "intra_host"
@@ -31,11 +31,7 @@ class ClusterTopology:
     ranks_per_host: int
 
     def __post_init__(self) -> None:
-        if self.num_hosts < 1 or self.ranks_per_host < 1:
-            raise DomainError(
-                f"num_hosts and ranks_per_host must be >= 1, got "
-                f"{self.num_hosts} and {self.ranks_per_host}"
-            )
+        check_minimums(vars(self), {"num_hosts": 1, "ranks_per_host": 1})
 
     @property
     def world_size(self) -> int:
@@ -63,8 +59,7 @@ class TowerLayout:
     hosts_per_tower: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_towers < 1 or self.hosts_per_tower < 1:
-            raise DomainError("num_towers and hosts_per_tower must be >= 1")
+        check_minimums(vars(self), {"num_towers": 1, "hosts_per_tower": 1})
 
     def validate_for(self, topo: ClusterTopology) -> None:
         group = topo.ranks_per_host * self.hosts_per_tower

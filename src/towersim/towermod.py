@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_minimums
 
 DLRM = "dlrm"
 DCN = "dcn"
 KINDS = (DLRM, DCN)
-# The TMConfig fields that size a tower module, in field order.
-SIZES = ("out_dim", "per_feature_outputs", "flat_outputs", "cross_layers")
+# The TMConfig fields that size a tower module, in field order, each with its
+# minimum; the bounds are the same for every kind.
+SIZES = {"out_dim": 1, "per_feature_outputs": 0, "flat_outputs": 0, "cross_layers": 1}
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,10 @@ class TMConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise DomainError(f"unknown tower module kind {self.kind!r}")
-        if self.kind == DLRM:
-            if self.per_feature_outputs < 0 or self.flat_outputs < 0:
-                raise DomainError("per_feature_outputs and flat_outputs must be >= 0")
-            if self.per_feature_outputs + self.flat_outputs < 1:
-                raise DomainError("dlrm flavor needs per_feature_outputs + flat_outputs >= 1")
-        if self.out_dim < 1:
-            raise DomainError("out_dim must be >= 1")
-        if self.kind == DCN and self.cross_layers < 1:
-            raise DomainError("cross_layers must be >= 1")
+            raise DomainError(f"kind: unknown tower module kind {self.kind!r}")
+        check_minimums(vars(self), SIZES)
+        if self.kind == DLRM and self.per_feature_outputs + self.flat_outputs < 1:
+            raise DomainError("per_feature_outputs: plus flat_outputs must be >= 1 for dlrm")
 
 
 @dataclass(frozen=True)

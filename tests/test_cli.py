@@ -1,4 +1,5 @@
 import csv
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from towersim.cli import (
     read_assignment,
     read_embeddings,
 )
+from towersim.costmodel import CostParams
 from towersim.embedding import SparseBatch
 from towersim.errors import ConfigError, IngestionError
+from towersim.towermod import TMConfig
 
 
 def write_config(tmp_path, overrides=None, name="run.yaml"):
@@ -372,6 +375,105 @@ def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
     assert run(2.0) == EXIT_OK  # an integral float is an integer
 
 
+@pytest.mark.parametrize(
+    "overrides, argv, error",
+    [
+        ({"tables": {"integer_values": "false"}}, ["verify"],
+         "tables.integer_values: 'false' is not true or false"),
+        ({"exchange": {"swap_bc": "no"}}, ["verify"], "exchange.swap_bc: 'no' is not true or false"),
+        ({"topology": {"num_hosts": True}}, ["verify"], "topology.num_hosts: True is not an integer"),
+        ({"seed": True}, ["verify"], "seed: True is not an integer"),
+        ({"tables": {"integer_values": 1}}, ["verify"], "tables.integer_values: 1 is not true or false"),
+        ({"output_dir": 5}, ["verify"], "output_dir: 5 is not a string"),
+        ({"partitioner": {"strategy": 5}}, ["verify"], "partitioner.strategy: 5 is not a string"),
+        ({"partitioner": {"balance": 0.5}}, ["verify"], "partitioner.balance: must be >= 1"),
+        ({"cost": {"alpha_up": -1}}, ["cost"], "cost.alpha_up: must be positive"),
+        ({"tables": {"rows": 0}}, ["verify"], "tables.rows: must be >= 1"),
+        ({"tm": {"kind": "mlp"}}, ["verify"], "tm.kind: unknown tower module kind 'mlp'"),
+        ({"tm": {"kind": "mlp"}}, ["cost"], "tm.kind: unknown tower module kind 'mlp'"),
+        ({"tm": {"out_dim": -5}}, ["verify"], "tm.out_dim: must be >= 1"),
+        ({"tm": {"kind": "dlrm", "cross_layers": 0}}, ["cost"], "tm.cross_layers: must be >= 1"),
+        ({"tm": {"kind": "dcn", "flat_outputs": -3}}, ["cost"], "tm.flat_outputs: must be >= 0"),
+        ({"tables": {"sharding": "column_wise", "dim": 4, "shards_per_table": 9}}, ["verify"],
+         "tables.shards_per_table: cannot split 4 columns into 9 shards"),
+        ({"tables": {"sharding": "table_wise", "shards_per_table": 0}}, ["verify"],
+         "tables.shards_per_table: must be >= 1"),
+        ({"tables": {"sharding": "table_wise", "shards_per_table": 2}}, ["verify"],
+         "tables.shards_per_table: must be 1 under table_wise"),
+        ({}, ["--seed", "-1", "verify"], "seed: must be >= 0"),
+        ({}, ["--seed", "-1", "verify", "--random-sweep", "3"], "seed: must be >= 0"),
+        # A block the command does not read is checked all the same.
+        ({"topology": {"ranks_per_host": 0}}, ["partition", "--embeddings", "none.csv"],
+         "topology.ranks_per_host: must be >= 1"),
+        ({"cost": {"efficiency": {1: 1.0, 4: 1.5}}}, ["verify"],
+         "cost.efficiency: factor 1.5 at world 4 outside (0, 1]"),
+    ],
+)
+def test_config_field_error_names_the_field(tmp_path, capsys, overrides, argv, error):
+    cfg = write_config(tmp_path, overrides)
+    out = [] if "output_dir" in overrides else ["--out", str(tmp_path / "out")]
+    assert main(["--config", str(cfg), *out, *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bool_sweep_takes_true_and_false(tmp_path, capsys):
+    def cost(values):
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
+                "cost", "--sweep", f"exchange.rowwise_reducescatter={values}"]
+        return main(argv)
+
+    assert cost("false,true") == EXIT_OK
+    with open(tmp_path / "out" / "sweep.csv") as fh:
+        configs = [row["config"] for row in csv.DictReader(fh)]
+    assert configs == [f"exchange.rowwise_reducescatter={v}" for v in (False, True)]
+    capsys.readouterr()
+    assert cost("0,1") == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: exchange.rowwise_reducescatter: 0 is not true or false\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["cost", "verify"])
+def test_library_warning_prints_in_cli_form(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"cost": {"beta_up": 1, "beta_out": 2}})
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), command]
+    if command == "cost":
+        argv += ["--sweep", "batch.local_size=1,2"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: scale-up bandwidth below scale-out bandwidth; unusual cluster\n"
+    )
+
+
+def test_block_defaults_have_their_dataclass_types():
+    blocks = {"exchange": exchange.ExchangeOptions, "tm": TMConfig, "cost": CostParams}
+    for block, cls in blocks.items():
+        hints = typing.get_type_hints(cls)
+        for name, value in cli.DEFAULT_CONFIG[block].items():
+            if value is not None:  # a None default is derived when the run is built
+                assert type(value) is hints[name], f"{block}.{name}"
+
+
+@pytest.mark.parametrize("scheme", ["row_wise", "column_wise"])
+def test_more_shards_than_tower_ranks(tmp_path, capsys, scheme):
+    # 4 shards of every table on 2-rank towers: each rank holds two. With
+    # float tables and multi-hot bags under the reduce-scatter, the baseline
+    # must sum row pieces as the reduce-scatter does (each rank's shards,
+    # then the ranks in order) or the two differ in the last bit.
+    cfg = write_config(tmp_path, {
+        "tables": {"count": 4, "rows": 16, "dim": 4, "hotness": [0, 4], "sharding": scheme,
+                   "shards_per_table": 4, "integer_values": False},
+        "batch": {"local_size": 4},
+        "exchange": {"rowwise_reducescatter": True},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+    assert capsys.readouterr().out == "result: exact match\n"
+    ctx = cli.RunContext(load_config(str(cfg)))
+    assert [s.rank for s in ctx.placement.shards_of(0)] == [0, 1, 0, 1]
+
+
 def test_partition_warns_when_embed_dims_not_below_source_dim(tmp_path, rng, capsys):
     features = blobs_csv(tmp_path, rng, dim=2)
     cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": 300}})
@@ -610,6 +712,7 @@ def test_parse_sweep_forms():
     assert parse_sweep("topology.num_hosts=2..4") == ("topology.num_hosts", [2, 3, 4])
     assert parse_sweep("tm.out_dim=64,32") == ("tm.out_dim", [64, 32])
     assert parse_sweep("cost.beta_out=1.5e9") == ("cost.beta_out", [1.5e9])
+    assert parse_sweep("exchange.swap_bc=true,false") == ("exchange.swap_bc", [True, False])
     with pytest.raises(ConfigError):
         parse_sweep("no_equals")
     with pytest.raises(ConfigError):

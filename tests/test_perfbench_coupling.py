@@ -1,9 +1,9 @@
 """The benchmark in ``perfbench/`` reaches into the package by name; these
-tests check that every name it reaches still resolves and that its trace
-counting agrees with the trace's own byte totals.
+tests check that every name it reaches still resolves, that its trace
+counting agrees with the trace's own byte totals, and that its configs load.
 
-``perfbench/spans.py`` is imported from its file, read-only: no bytecode is
-written next to it.
+``perfbench/spans.py`` and ``perfbench/workload.py`` are imported from their
+files, read-only: no bytecode is written next to them.
 """
 
 import importlib
@@ -16,20 +16,47 @@ import pytest
 
 from towersim.cli import RunContext, load_config
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+def load_file(name: str, path: Path, **imports):
+    """Module ``name`` executed from ``path`` with no bytecode written.
+
+    ``imports`` are modules it imports by their bare names. They, and the
+    module itself (a dataclass looks its module up while it is made), sit
+    in sys.modules only while it runs, and sys.path is restored after it.
+    """
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    write_bytecode = sys.dont_write_bytecode
+    added = {name: module, **imports}
+    saved_path, write_bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.modules.update(added)
     sys.dont_write_bytecode = True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = write_bytecode
+        sys.path[:] = saved_path
+        for key in added:
+            del sys.modules[key]
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return load_file("perfbench_spans", PERFBENCH / "spans.py")
+
+
+@pytest.fixture(scope="module")
+def workload(spans):
+    return load_file("perfbench_workload", PERFBENCH / "workload.py", spans=spans)
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+def test_every_benchmark_config_loads(workload, smoke):
+    # A config that a new rule rejected would stop the benchmark from running.
+    for name, work in workload.workloads(smoke).items():
+        assert load_config(overrides=work.config), name
 
 
 def test_every_wrapped_attribute_resolves(spans):
