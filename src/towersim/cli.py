@@ -25,7 +25,6 @@ import yaml
 
 from . import costmodel, exchange, partitioner, towermod
 from .embedding import (
-    COLUMN_WISE,
     ROW_WISE,
     SCHEMES,
     TABLE_SIZES,
@@ -171,21 +170,23 @@ def _num(value, field: str, kind=int):
     return number
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """``base`` with ``override``'s values; a value whose default is a bool,
-    int, float or str takes that type through _num. tables.hotness (1 or
-    [lo, hi]) and the None defaults are checked where they are built."""
+def _merge(base: dict, override: dict, path: str = "", default=DEFAULT_CONFIG) -> dict:
+    """``base`` with ``override``'s values; a value whose ``default`` in
+    DEFAULT_CONFIG is a bool, int, float or str takes that type through _num.
+    tables.hotness (1 or [lo, hi]) and the values under a None default
+    (layout.explicit, cost.efficiency) are checked where they are built."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config key {where!r}")
+        typed = default.get(key) if isinstance(default, dict) else None
         if isinstance(out[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: must be a mapping")
-            out[key] = _merge(out[key], value, where)
-        elif type(out[key]) in _TYPE_NAMES and where != "tables.hotness":
-            out[key] = _num(value, where, type(out[key]))
+            out[key] = _merge(out[key], value, where, typed)
+        elif type(typed) in _TYPE_NAMES and where != "tables.hotness":
+            out[key] = _num(value, where, type(typed))
         else:
             out[key] = value
     return out
@@ -201,13 +202,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         cfg = _merge(cfg, loaded)
     if overrides:
         cfg = _merge(cfg, overrides)
-    return check_config(cfg)
+    check_config(cfg)
+    return cfg
 
 
-def check_config(cfg: dict) -> dict:
-    """``cfg`` once every field of every block meets its bound, whichever
-    command runs. A DomainError that a dataclass raises while its block is
-    built leads with the field's name, and becomes a ConfigError naming
+def check_config(cfg: dict) -> tuple:
+    """The topology, hotness, tower modules and cost parameters of ``cfg``,
+    built once every field of every block meets its bound, whichever command
+    runs. A DomainError that a dataclass raises while its block is built
+    leads with the field's name, and becomes a ConfigError naming
     ``<block>.<field>``. Bounds that span blocks are checked by RunContext."""
     for path, rule in RULES.items():
         block, _, name = path.rpartition(".")
@@ -216,15 +219,16 @@ def check_config(cfg: dict) -> dict:
             _require(value in rule, path, f"must be one of {rule}")
         else:
             _require(value >= rule, path, f"must be >= {rule}")
-    for block, check in (
+    built = []
+    for block, build in (
         ("topology", build_topology), ("tables", check_tables),
         ("tm", build_tm), ("cost", build_cost_params),
     ):
         try:
-            check(cfg)
+            built.append(build(cfg))
         except DomainError as exc:
             raise ConfigError(f"{block}.{exc}") from None
-    return cfg
+    return tuple(built)
 
 
 def _block_seed(cfg: dict, salt: int) -> int:
@@ -236,8 +240,13 @@ def build_topology(cfg: dict) -> ClusterTopology:
     return ClusterTopology(**cfg["topology"])
 
 
-def _hotness(hot) -> object:
-    """tables.hotness as make_batch takes it: 1, or an inclusive (lo, hi)."""
+def check_tables(cfg: dict) -> object:
+    """The tables block's bounds, without building a table; returns
+    tables.hotness as make_batch takes it: 1, or an inclusive (lo, hi)."""
+    t = cfg["tables"]
+    check_minimums(t, TABLE_SIZES)
+    TablePlan(t["sharding"], t["shards_per_table"]).pieces(t["rows"], t["dim"])
+    hot = t["hotness"]
     if isinstance(hot, (list, tuple)):
         _require(len(hot) == 2, "tables.hotness", "need [lo, hi]")
         lo, hi = (_num(h, "tables.hotness") for h in hot)
@@ -246,14 +255,6 @@ def _hotness(hot) -> object:
     _require(_num(hot, "tables.hotness") == 1, "tables.hotness",
              "scalar hotness must be 1 (single-hot)")
     return 1
-
-
-def check_tables(cfg: dict) -> None:
-    """The tables block's bounds, without building a table."""
-    t = cfg["tables"]
-    check_minimums(t, TABLE_SIZES)
-    TablePlan(t["sharding"], t["shards_per_table"]).pieces(t["rows"], t["dim"])
-    _hotness(t["hotness"])
 
 
 def _known_towers(mapping: dict[int, int], num_towers: int, field: str) -> dict[int, int]:
@@ -271,20 +272,35 @@ def build_assignment(
 ) -> dict[int, int]:
     if assignment_path is not None:
         mapping = read_assignment(assignment_path)
-        _require(sorted(mapping) == list(range(num_features)), "assignment",
-                 f"{assignment_path} does not cover features 0..{num_features - 1}")
+        _require(
+            sorted(mapping) == list(range(num_features)),
+            "assignment",
+            f"{assignment_path} does not cover features 0..{num_features - 1}",
+        )
         return _known_towers(mapping, layout.num_towers, "assignment")
     mode = cfg["layout"]["assignment"]
     towers = layout.num_towers
-    _require(num_features >= towers, "tables.count", f"need at least num_towers={towers} features")
+    _require(
+        num_features >= towers,
+        "tables.count",
+        f"need at least num_towers={towers} features",
+    )
     if mode == "contiguous":
         sizes = towermod.balanced_group_sizes(num_features, towers)
-        return dict(enumerate(tower for tower, size in enumerate(sizes) for _ in range(size)))
+        mapping, feat = {}, 0
+        for tower, size in enumerate(sizes):
+            for _ in range(size):
+                mapping[feat] = tower
+                feat += 1
+        return mapping
     if mode == "strided":
         return {f: f % towers for f in range(num_features)}
     explicit = cfg["layout"]["explicit"]
-    _require(isinstance(explicit, list) and len(explicit) == num_features, "layout.explicit",
-             f"need a list of {num_features} tower ids")
+    _require(
+        isinstance(explicit, list) and len(explicit) == num_features,
+        "layout.explicit",
+        f"need a list of {num_features} tower ids",
+    )
     mapping = {f: _num(t, "layout.explicit") for f, t in enumerate(explicit)}
     return _known_towers(mapping, towers, "layout.explicit")
 
@@ -312,24 +328,28 @@ def build_cost_params(cfg: dict) -> costmodel.CostParams:
 
 
 class RunContext:
-    """Everything one exchange run needs, built from a checked config dict."""
+    """Everything one exchange run needs, built from a config dict."""
 
     def __init__(self, cfg: dict, assignment_path: Optional[str] = None):
         self.cfg = cfg
         t = cfg["tables"]
-        self.topo = topo = build_topology(cfg)
+        topo, hotness, tm, self.params = check_config(cfg)
+        self.topo = topo
         h = cfg["layout"]["hosts_per_tower"]
         group = topo.ranks_per_host * h
-        _require(topo.world_size % group == 0, "layout.hosts_per_tower",
-                 f"world size {topo.world_size} not divisible by "
-                 f"ranks_per_host*hosts_per_tower={group}")
+        _require(
+            topo.world_size % group == 0,
+            "layout.hosts_per_tower",
+            f"world size {topo.world_size} not divisible by "
+            f"ranks_per_host*hosts_per_tower={group}",
+        )
         self.layout = TowerLayout(num_towers=topo.world_size // group, hosts_per_tower=h)
         seed = _block_seed(cfg, 1)
         self.tables = {
             tid: init_table_deterministic(tid, t["rows"], t["dim"], seed, t["integer_values"])
             for tid in range(t["count"])
         }
-        self.hotness = dict.fromkeys(self.tables, _hotness(t["hotness"]))
+        self.hotness = dict.fromkeys(self.tables, hotness)
         self.assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
         plan = {
             tid: TablePlan(t["sharding"], t["shards_per_table"], tower)
@@ -339,7 +359,7 @@ class RunContext:
         self.batch = make_batch(
             topo, self.tables, cfg["batch"]["local_size"], self.hotness, _block_seed(cfg, 2)
         )
-        self.options = exchange.ExchangeOptions(tower_modules=build_tm(cfg), **cfg["exchange"])
+        self.options = exchange.ExchangeOptions(tower_modules=tm, **cfg["exchange"])
         self.plan = exchange.TowerPlan(self.layout, self.assignment)
 
     def baseline_plan(self) -> tuple[CommTrace, dict[str, float]]:
@@ -492,9 +512,9 @@ def random_config(rng: np.random.Generator) -> dict:
         "batch": {"local_size": int(rng.integers(1, 4))},
         "exchange": {name: bool(rng.integers(0, 2)) for name in exchange.SWITCHES},
     }
-    t = overrides["tables"]  # the shard count this table and scheme take
-    t["shards_per_table"] = 1 if t["sharding"] == TABLE_WISE else min(
-        t["shards_per_table"], t["dim"] if t["sharding"] == COLUMN_WISE else t["rows"])
+    t = overrides["tables"]  # the draw, capped at what this table and scheme take
+    t["shards_per_table"] = min(
+        t["shards_per_table"], TablePlan(t["sharding"]).max_shards(t["rows"], t["dim"]))
     return load_config(overrides=overrides)
 
 
@@ -666,11 +686,10 @@ def cost_one(cfg: dict) -> dict[str, float]:
     looking up or moving an embedding.
     """
     ctx = RunContext(cfg)
-    params = build_cost_params(cfg)
     base_trace, base_flops = ctx.baseline_plan()
-    base_cost = costmodel.pipeline_cost(base_trace, params, flops=base_flops)
+    base_cost = costmodel.pipeline_cost(base_trace, ctx.params, flops=base_flops)
     tower_trace, tower_flops = ctx.tower_plan()
-    tower_cost = costmodel.pipeline_cost(tower_trace, params, flops=tower_flops)
+    tower_cost = costmodel.pipeline_cost(tower_trace, ctx.params, flops=tower_flops)
     report = costmodel.speedup_report(base_cost, tower_cost)
     return {
         "num_hosts": ctx.topo.num_hosts,
@@ -728,7 +747,7 @@ def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
             for part in reversed(key.split(".")):
                 override = {part: override}
             one = _merge(one, override)
-        row = cost_one(check_config(one))
+        row = cost_one(one)
         row["config"] = ";".join(f"{k}={v}" for k, v in combo) or "base"
         rows.append(row)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -793,12 +812,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        # A library warning prints in the CLI's own form, once per command.
-        warnings.simplefilter("default")
+        # A library warning prints in the CLI's own form; entering the block
+        # forgets the warnings an earlier command in this process printed.
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            flags = {"seed": args.seed, "output_dir": args.out}
-            cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+            overrides: dict = {}
+            if args.seed is not None:
+                overrides["seed"] = args.seed
+            if args.out is not None:
+                overrides["output_dir"] = args.out
+            cfg = load_config(args.config, overrides)
             out_dir = Path(cfg["output_dir"])
             if args.command == "verify":
                 if args.random_sweep is not None:

@@ -209,13 +209,17 @@ class TablePlan:
         if self.scheme == TABLE_WISE and self.shards_per_table != 1:
             raise DomainError("shards_per_table: must be 1 under table_wise")
 
+    def max_shards(self, rows: int, dim: int) -> int:
+        """The most shards this scheme splits a rows x dim table into."""
+        return {TABLE_WISE: 1, COLUMN_WISE: dim, ROW_WISE: rows}[self.scheme]
+
     def pieces(self, rows: int, dim: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """The (row range, column range) of each shard of a rows x dim table."""
         if self.scheme == TABLE_WISE:
             return [((0, rows), (0, dim))]
-        total, unit = (dim, "columns") if self.scheme == COLUMN_WISE else (rows, "rows")
-        count = self.shards_per_table
+        total, count = self.max_shards(rows, dim), self.shards_per_table
         if count > total:
+            unit = "columns" if self.scheme == COLUMN_WISE else "rows"
             raise DomainError(f"shards_per_table: cannot split {total} {unit} into {count} shards")
         ranges = split_ranges(total, count)
         if self.scheme == COLUMN_WISE:

@@ -434,6 +434,7 @@ def test_bool_sweep_takes_true_and_false(tmp_path, capsys):
     )
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 @pytest.mark.parametrize("command", ["cost", "verify"])
 def test_library_warning_prints_in_cli_form(tmp_path, capsys, command):
     cfg = write_config(tmp_path, {"cost": {"beta_up": 1, "beta_out": 2}})
@@ -474,6 +475,7 @@ def test_more_shards_than_tower_ranks(tmp_path, capsys, scheme):
     assert [s.rank for s in ctx.placement.shards_of(0)] == [0, 1, 0, 1]
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_partition_warns_when_embed_dims_not_below_source_dim(tmp_path, rng, capsys):
     features = blobs_csv(tmp_path, rng, dim=2)
     cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": 300}})
@@ -657,6 +659,21 @@ def test_cost_efficiency_mapping(tmp_path, capsys):
     cfg = write_config(tmp_path, {"cost": {"efficiency": 0.5}})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "cost"), "cost"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: cost.efficiency: need {world: factor}\n"
+
+
+def test_sweep_under_a_file_efficiency_takes_the_file_form(tmp_path):
+    # The file's factors are integers, but a factor is a float: sweeping one
+    # runs as the same value written in the file does.
+    def baseline_s(efficiency, *sweep):
+        cfg = write_config(tmp_path, {"cost": {"efficiency": efficiency}})
+        out = tmp_path / "cost"
+        assert main(["--config", str(cfg), "--out", str(out), "cost", *sweep]) == EXIT_OK
+        with open(out / "sweep.csv") as fh:
+            return float(next(csv.DictReader(fh))["baseline_s"])
+
+    swept = baseline_s({"1": 1, "4": 1}, "--sweep", "cost.efficiency.4=0.5")
+    assert swept == baseline_s({"1": 1, "4": 0.5})
+    assert swept > baseline_s({"1": 1, "4": 1})
 
 
 def test_cost_rows_sorted_by_swept_values(tmp_path):
