@@ -125,7 +125,7 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# The bound of each field that no dataclass owns: a minimum, or a tuple of
+# The bound of each field that no class owns: a minimum, or a tuple of
 # the values it may take. ClusterTopology, EmbeddingTable (rows, dim),
 # TablePlan (shards_per_table), TMConfig and CostParams state the others.
 RULES = {
@@ -219,6 +219,10 @@ def check_config(cfg: dict) -> tuple:
             _require(value in rule, path, f"must be one of {rule}")
         else:
             _require(value >= rule, path, f"must be >= {rule}")
+    layout = cfg["layout"]
+    _require(layout["explicit"] is None or layout["assignment"] == "explicit",
+             "layout.explicit", f"is read only under layout.assignment 'explicit', "
+             f"not {layout['assignment']!r}")
     built = []
     for block, build in (
         ("topology", build_topology), ("tables", check_tables),

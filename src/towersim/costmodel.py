@@ -71,6 +71,8 @@ class CostParams:
             raise DomainError("efficiency: table is empty")
         last = 1.0
         for w, f in sorted(self.efficiency.items()):
+            if w < 1:
+                raise DomainError(f"efficiency: world {w} is below 1")
             if not 0 < f <= 1:
                 raise DomainError(f"efficiency: factor {f} at world {w} outside (0, 1]")
             if f > last:

@@ -1,12 +1,15 @@
 """Embedding tables, sharding, jagged index bags, batch generation, and lookup.
 
-Tables double as features: feature k reads table k. Values are kept in
-float64; the integer-valued initialization mode makes exchange results
-exactly comparable (sums of small integers are exact in float64).
+Tables double as features: feature k reads table k. A table is its shape
+until a lookup reads its values, so sharding, batches and cost plans never
+build them. Values are kept in float64; the integer-valued initialization
+mode makes exchange results exactly comparable (sums of small integers are
+exact in float64).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,40 +31,50 @@ POOL_SUM = "sum"
 TABLE_SIZES = {"rows": 1, "dim": 1}
 
 
-@dataclass(frozen=True)
 class EmbeddingTable:
-    table_id: int
-    rows: int
-    dim: int
-    values: np.ndarray
+    """A rows x dim table whose values are given, or built on first read.
 
-    def __post_init__(self) -> None:
+    Given values are checked for shape and finiteness here. Otherwise
+    ``values`` is a pure function of (table_id, seed, integer), built and
+    checked the first time something reads it, and kept. Integer mode sets
+    value(t, r, c) = t*1e6 + r*1e3 + c, which keeps every cell distinct and
+    makes downstream sums exact.
+    """
+
+    def __init__(self, table_id: int, rows: int, dim: int, values=None, *,
+                 seed: int = 0, integer: bool = False) -> None:
+        self.table_id, self.rows, self.dim = table_id, rows, dim
+        self.seed, self.integer = seed, integer
         check_minimums(vars(self), TABLE_SIZES)
-        if self.values.shape != (self.rows, self.dim):
+        if values is not None:
+            self.values = self._checked(values)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        if self.integer:
+            r = np.arange(self.rows, dtype=np.float64)[:, None]
+            c = np.arange(self.dim, dtype=np.float64)[None, :]
+            return self._checked(self.table_id * 1_000_000.0 + r * 1_000.0 + c)
+        rng = np.random.default_rng([self.seed, self.table_id])
+        return self._checked(rng.uniform(-1.0, 1.0, size=(self.rows, self.dim)))
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        if values.shape != (self.rows, self.dim):
             raise ShapeError(
-                f"table {self.table_id} values shape {self.values.shape} "
+                f"table {self.table_id} values shape {values.shape} "
                 f"!= ({self.rows}, {self.dim})"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise DomainError(f"table {self.table_id} contains non-finite values")
+        return values
 
 
 def init_table_deterministic(
     table_id: int, rows: int, dim: int, seed: int = 0, integer: bool = False
 ) -> EmbeddingTable:
-    """Build a table whose values are a pure function of (table_id, seed).
-
-    Integer mode sets value(t, r, c) = t*1e6 + r*1e3 + c, which keeps every
-    cell distinct and makes downstream sums exact.
-    """
-    if integer:
-        r = np.arange(rows, dtype=np.float64)[:, None]
-        c = np.arange(dim, dtype=np.float64)[None, :]
-        values = table_id * 1_000_000.0 + r * 1_000.0 + c
-    else:
-        rng = np.random.default_rng([seed, table_id])
-        values = rng.uniform(-1.0, 1.0, size=(rows, dim))
-    return EmbeddingTable(table_id, rows, dim, values)
+    """A table whose values, built on first read, are a pure function of
+    (table_id, seed), or of table_id alone in integer mode."""
+    return EmbeddingTable(table_id, rows, dim, seed=seed, integer=integer)
 
 
 class Bags:

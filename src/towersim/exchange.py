@@ -36,6 +36,7 @@ from .embedding import (
     POOL_SUM,
     ROW_WISE,
     Bags,
+    Shard,
     ShardedEmbedding,
     SparseBatch,
     lookup,
@@ -262,6 +263,10 @@ def _distribute_and_lookup(
     by_owner = {o: [(sid, s) for sid, s in shard_list if s.rank == o] for o in world}
 
     feats = batch.features
+    for f in feats:
+        # Built now, before the first message, values do not land between
+        # step b's lookup results, where they would raise the peak memory.
+        placement.tables[f].values
     sends = {}
     for src in world:
         views = {f: batch.rank_bags(src, f) for f in feats}
@@ -514,22 +519,30 @@ def _plan_steps_a_b(
     _record(trace, "a", range(world), BYTES_PER_ELEMENT * indices @ held)
 
     totals = indices.sum(axis=0)
-    below: dict[int, np.ndarray] = {}  # feature -> indices below each row
+    row_shards: dict[int, list[Shard]] = {}
     work = [0] * world
     for _, shard in shard_list:
-        feat = shard.table_id
         if shard.scheme == ROW_WISE:
-            if feat not in below:
-                counts = np.bincount(
-                    batch.bags[feat].values, minlength=placement.tables[feat].rows
-                )
-                below[feat] = np.concatenate(([0], np.cumsum(counts)))
-            r0, r1 = shard.row_range
-            looked_up = int(below[feat][r1] - below[feat][r0])
+            row_shards.setdefault(shard.table_id, []).append(shard)
         else:
-            looked_up = int(totals[column[feat]])
-        work[shard.rank] += looked_up * shard.width
+            work[shard.rank] += int(totals[column[shard.table_id]]) * shard.width
+    for feat, shards in row_shards.items():
+        counts = _count_in_ranges(batch.bags[feat].values, [s.row_range for s in shards])
+        for shard, looked_up in zip(shards, counts):
+            work[shard.rank] += looked_up * shard.width
     return float(max(work))
+
+
+def _count_in_ranges(indices: np.ndarray, ranges: list[tuple[int, int]]) -> list[int]:
+    """How many of ``indices`` fall in each [start, stop) of ``ranges``.
+
+    One vectorised comparison per distinct bound counts the indices below
+    it, so the work grows with the indices times the ranges and the memory
+    with the indices: no array is as long as the table.
+    """
+    bounds = {bound for span in ranges for bound in span}
+    below = {bound: int(np.count_nonzero(indices < bound)) for bound in bounds}
+    return [below[stop] - below[start] for start, stop in ranges]
 
 
 def baseline_plan(

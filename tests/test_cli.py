@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -195,10 +196,15 @@ def test_verify_explicit_layout_assignment(tmp_path, capsys):
     [
         ([0, 1, 0], "need a list of 4 tower ids"),
         ([0, 1, 0, 5], "feature 3 mapped to unknown tower 5"),
+        # Set beside the default contiguous assignment, which never reads it.
+        ("junk", "is read only under layout.assignment 'explicit', not 'contiguous'"),
     ],
 )
 def test_explicit_layout_assignment_errors(tmp_path, capsys, explicit, error):
-    cfg = write_config(tmp_path, {"layout": {"assignment": "explicit", "explicit": explicit}})
+    layout = {"explicit": explicit}
+    if isinstance(explicit, list):
+        layout["assignment"] = "explicit"
+    cfg = write_config(tmp_path, {"layout": layout})
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: layout.explicit: {error}\n"
@@ -407,6 +413,7 @@ def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
          "topology.ranks_per_host: must be >= 1"),
         ({"cost": {"efficiency": {1: 1.0, 4: 1.5}}}, ["verify"],
          "cost.efficiency: factor 1.5 at world 4 outside (0, 1]"),
+        ({"cost": {"efficiency": {-4: 1.0}}}, ["cost"], "cost.efficiency: world -4 is below 1"),
     ],
 )
 def test_config_field_error_names_the_field(tmp_path, capsys, overrides, argv, error):
@@ -674,6 +681,23 @@ def test_sweep_under_a_file_efficiency_takes_the_file_form(tmp_path):
     swept = baseline_s({"1": 1, "4": 1}, "--sweep", "cost.efficiency.4=0.5")
     assert swept == baseline_s({"1": 1, "4": 0.5})
     assert swept > baseline_s({"1": 1, "4": 1})
+
+
+def test_cost_memory_grows_with_the_batch_not_the_tables(tmp_path):
+    # Two row-wise tables of 10^6 x 64: their values would take 1 GB, and
+    # one rows-long int64 count array 8 MB. cost reads only shapes, and
+    # counts each row shard's indices without a per-row array.
+    cfg = write_config(tmp_path, {"tables": {
+        "count": 2, "rows": 1_000_000, "dim": 64, "hotness": [0, 20],
+        "sharding": "row_wise", "shards_per_table": 2}})
+    tracemalloc.start()
+    try:
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "cost"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 2_000_000
 
 
 def test_cost_rows_sorted_by_swept_values(tmp_path):

@@ -83,6 +83,8 @@ def test_params_validation():
         CostParams(efficiency={2: 0.5, 4: 0.9})
     with pytest.raises(DomainError):
         CostParams(efficiency={2: 1.5})
+    with pytest.raises(DomainError, match="efficiency: world 0 is below 1"):
+        CostParams(efficiency={0: 1.0})
 
 
 def test_slow_scaleup_warns():

@@ -74,6 +74,34 @@ def test_init_determinism_and_table_id_salt():
     assert a.values[0, 0] != c.values[0, 0]
 
 
+def test_values_built_on_first_read_match_the_formulas():
+    # Pinned to the literal expressions, bit for bit, in both modes.
+    r = np.arange(5, dtype=np.float64)[:, None]
+    c = np.arange(3, dtype=np.float64)[None, :]
+    cases = [
+        (init_table_deterministic(7, 5, 3, seed=2, integer=True),
+         7 * 1_000_000.0 + r * 1_000.0 + c),
+        (init_table_deterministic(7, 5, 3, seed=2),
+         np.random.default_rng([2, 7]).uniform(-1.0, 1.0, size=(5, 3))),
+    ]
+    for table, expected in cases:
+        assert "values" not in vars(table)  # a shape until something reads it
+        assert table.values.dtype == expected.dtype
+        assert table.values.tobytes() == expected.tobytes()
+        assert table.values is table.values  # built once, then kept
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [(np.zeros((2, 4)), ShapeError), (np.zeros(8), ShapeError),
+     (np.array([[0.0, np.nan]] * 4), DomainError),
+     (np.array([[0.0, -np.inf]] * 4), DomainError)],
+)
+def test_given_values_checked_when_the_table_is_made(values, error):
+    with pytest.raises(error):
+        EmbeddingTable(0, 4, 2, values)
+
+
 def test_split_ranges_remainder_spreading():
     assert split_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
     assert split_ranges(128, 2) == [(0, 64), (64, 128)]

@@ -3,19 +3,24 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import build_run, direct_lookup_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towersim.cli import RunContext, compare_exact, equivalence_check, random_config
 from towersim.embedding import (
     ROW_WISE,
+    Bags,
     TablePlan,
     init_table_deterministic,
     make_batch,
     shard_tables,
+    split_ranges,
 )
 from towersim.errors import InvariantError, LayoutError, PlanError
 from towersim.exchange import (
     ExchangeOptions,
     TowerPlan,
+    _count_in_ranges,
     baseline_exchange,
     baseline_plan,
     check_plan,
@@ -437,3 +442,23 @@ def test_check_plan_names_the_first_differing_collective():
     trace, _ = tower_plan(batch, placement, plan, topo, opts)
     with pytest.raises(InvariantError, match="flops"):
         check_plan("tower", result, (trace, {**flops, "b": flops["b"] + 1}))
+
+
+@st.composite
+def row_wise_batches(draw):
+    """A feature's bags over a table split into row shards. The indices are
+    drawn from the rows below ``top``, so shards above it get none."""
+    rows = draw(st.integers(1, 40))
+    parts = draw(st.integers(1, rows))
+    top = draw(st.integers(1, rows))
+    bags = draw(st.lists(st.lists(st.integers(0, top - 1), max_size=6), max_size=12))
+    return rows, split_ranges(rows, parts), Bags.from_lists(bags)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(row_wise_batches())
+def test_row_shard_counts_equal_the_per_row_cumsum(case):
+    rows, ranges, bags = case
+    below = np.concatenate(([0], np.cumsum(np.bincount(bags.values, minlength=rows))))
+    expected = [int(below[r1] - below[r0]) for r0, r1 in ranges]
+    assert _count_in_ranges(bags.values, ranges) == expected

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from towersim import cli
 from towersim.cli import RunContext, load_config
+from towersim.embedding import init_table_deterministic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -95,3 +97,18 @@ def test_count_trace_matches_byte_totals(spans):
         assert obs["messages"] == len(trace.entries)
         assert 0 < obs["empty"] < obs["messages"]
         assert obs["step_a_indices"] == delivered
+
+
+def test_benchmark_cost_builds_no_table_values(workload, monkeypatch):
+    # cost-multihot-dcn at full size: the plans read table shapes only.
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(init_table_deterministic(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "init_table_deterministic", recorded)
+    config = workload.workloads(smoke=False)["cost-multihot-dcn"].config
+    cli.cost_one(load_config(overrides=config))
+    assert len(made) == config["tables"]["count"]
+    assert not [t.table_id for t in made if "values" in vars(t)]  # none built
