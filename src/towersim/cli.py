@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -332,7 +333,8 @@ def build_cost_params(cfg: dict) -> costmodel.CostParams:
 
 
 class RunContext:
-    """Everything one exchange run needs, built from a config dict."""
+    """Everything one exchange run needs, built from a config dict. The runs
+    are plain calls, since each exchange run checks itself against its plan."""
 
     def __init__(self, cfg: dict, assignment_path: Optional[str] = None):
         self.cfg = cfg
@@ -366,43 +368,28 @@ class RunContext:
         self.options = exchange.ExchangeOptions(tower_modules=tm, **cfg["exchange"])
         self.plan = exchange.TowerPlan(self.layout, self.assignment)
 
-    def baseline_plan(self) -> tuple[CommTrace, dict[str, float]]:
-        return exchange.baseline_plan(self.batch, self.placement, self.topo)
+    def run_baseline(self) -> exchange.ExchangeResult:
+        return exchange.baseline_exchange(self.batch, self.placement, self.topo)
 
-    def tower_plan(self) -> tuple[CommTrace, dict[str, float]]:
+    def run_tower(self) -> exchange.ExchangeResult:
+        return exchange.tower_exchange(
+            self.batch, self.placement, self.plan, self.topo, self.options
+        )
+
+    @functools.cached_property
+    def planned_tower(self) -> exchange.ExchangeResult:
+        """The tower plan: layout, trace and flops, made once for cost and
+        compression."""
         return exchange.tower_plan(
             self.batch, self.placement, self.plan, self.topo, self.options
         )
 
-    def run_baseline(self) -> exchange.ExchangeResult:
-        """The functional baseline run, checked against its plan."""
-        result = exchange.baseline_exchange(self.batch, self.placement, self.topo)
-        exchange.check_plan("baseline", result, self.baseline_plan())
-        return result
-
-    def run_tower(self) -> exchange.ExchangeResult:
-        """The functional tower run, checked against its plan."""
-        result = exchange.tower_exchange(
-            self.batch, self.placement, self.plan, self.topo, self.options
-        )
-        exchange.check_plan("tower", result, self.tower_plan())
-        return result
-
     def compression(self) -> float:
         """The tower modules' savings factor: the features' table widths over
-        the towers' step-e widths, which tower_plan prices at step f."""
-        num_towers = self.layout.num_towers
-        widths, counts = [], []
-        for tower in range(num_towers):
-            feats = self.plan.features_of(tower)
-            _, width, _ = exchange._step_e_shape(
-                self.options.tower_modules, self.placement, feats, tower, num_towers,
-                self.batch.local_batch,
-            )
-            widths.append(width)
-            counts.append(len(feats))
+        the widths of the tower plan's output layout, which it prices at step f."""
+        width = sum(width for _, _, width in self.planned_tower.layout.blocks)
         (in_dim,) = {table.dim for table in self.tables.values()}  # all tables.dim wide
-        return towermod.compression_ratio(widths, counts, in_dim)
+        return towermod.compression_ratio([width], [len(self.tables)], in_dim)
 
 
 def compare_exact(
@@ -690,10 +677,10 @@ def cost_one(cfg: dict) -> dict[str, float]:
     looking up or moving an embedding.
     """
     ctx = RunContext(cfg)
-    base_trace, base_flops = ctx.baseline_plan()
-    base_cost = costmodel.pipeline_cost(base_trace, ctx.params, flops=base_flops)
-    tower_trace, tower_flops = ctx.tower_plan()
-    tower_cost = costmodel.pipeline_cost(tower_trace, ctx.params, flops=tower_flops)
+    base = exchange.baseline_plan(ctx.batch, ctx.placement, ctx.topo)
+    base_cost = costmodel.pipeline_cost(base.trace, ctx.params, flops=base.flops)
+    tower = ctx.planned_tower
+    tower_cost = costmodel.pipeline_cost(tower.trace, ctx.params, flops=tower.flops)
     report = costmodel.speedup_report(base_cost, tower_cost)
     return {
         "num_hosts": ctx.topo.num_hosts,
@@ -739,6 +726,9 @@ def parse_sweep(spec: str) -> tuple[str, list]:
 
 
 def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
+    swept = [key for key, _ in sweeps]
+    for key in swept:
+        _require(swept.count(key) == 1, key, "given to --sweep more than once")
     combos: list[list[tuple[str, object]]] = [[]]
     for key, values in sweeps:
         combos = [prev + [(key, v)] for prev in combos for v in values]
@@ -796,8 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="check tower pipeline against the baseline")
-    verify.add_argument("--assignment", help="feature->tower file from 'partition'")
-    verify.add_argument(
+    source = verify.add_mutually_exclusive_group()
+    source.add_argument("--assignment", help="feature->tower file from 'partition'")
+    source.add_argument(
         "--random-sweep", type=int, metavar="N",
         help="run N randomized configs instead of the config file",
     )
@@ -829,6 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out_dir = Path(cfg["output_dir"])
             if args.command == "verify":
                 if args.random_sweep is not None:
+                    _require(args.random_sweep >= 1, "--random-sweep", "must be >= 1")
                     matched, total, problems = run_random_sweep(args.random_sweep, cfg["seed"])
                     print(f"{matched}/{total} exact")
                     for line in problems:

@@ -18,9 +18,12 @@ step has consumed it, so it holds its outputs plus one tower in flight.
 
 Every byte count is a function of shapes alone: bag sizes, shard placement,
 table widths and tower-module output widths. baseline_plan and tower_plan
-derive each pipeline's trace and flops from those shapes without looking up
-or moving an embedding; the cost model costs the plans, and the functional
-pipelines are checked against them collective for collective (check_plan).
+derive each pipeline's output layout, trace and flops from those shapes
+without looking up or moving an embedding, and return them as an
+ExchangeResult with no outputs; the cost model costs the plans. Each
+functional pipeline starts from its plan, returns the plan's layout and ends
+by checking its trace and flops against the plan, collective for collective
+(check_plan), wherever it is called.
 """
 
 from __future__ import annotations
@@ -116,6 +119,9 @@ class OutputLayout:
 
 @dataclass
 class ExchangeResult:
+    """Per-rank outputs, their layout, the trace and flops of a run; a plan's
+    has no outputs."""
+
     outputs: dict[int, np.ndarray]
     layout: OutputLayout
     trace: CommTrace
@@ -181,9 +187,9 @@ def _check_placement(
     topo: ClusterTopology,
     plan: Optional[TowerPlan] = None,
 ) -> None:
-    """Up-front checks of a pipeline and its plan: every batch feature has
-    shards and, under a tower plan, the layout tiles the world and each
-    feature's shards sit on its tower's ranks."""
+    """Up-front checks of a plan, and so of the run that starts from it:
+    every batch feature has shards and, under a tower plan, the layout tiles
+    the world and each feature's shards sit on its tower's ranks."""
     if plan is None:
         for feat in batch.features:
             placement.shards_of(feat)
@@ -215,33 +221,6 @@ def _reduce_scattered(
             if shard.scheme == ROW_WISE:
                 rs_shards.setdefault(shard.table_id, []).append(sid)
     return rs_shards
-
-
-def _step_e_shape(
-    cfg: Optional[TMConfig],
-    placement: ShardedEmbedding,
-    feats: list[int],
-    tower: int,
-    num_towers: int,
-    batch_size: int,
-) -> tuple[int, int, float]:
-    """(in_dim, width, flops) of one tower's step e.
-
-    in_dim is the embedding dim its tower module reads (0 without a
-    module), width the columns of its block for each destination, and
-    flops the work of each of its ranks: one forward per destination tower.
-    """
-    if cfg is None:
-        return 0, sum(placement.tables[f].dim for f in feats), 0.0
-    dims = {placement.tables[f].dim for f in feats}
-    if len(dims) > 1:
-        raise PlanError(
-            f"tower {tower} mixes embedding dims {sorted(dims)}; "
-            "tower modules need one dim per tower"
-        )
-    in_dim = dims.pop() if dims else 1
-    flops = num_towers * tm_flops(cfg, len(feats), in_dim, batch_size)
-    return in_dim, tm_output_width(cfg, len(feats), in_dim), flops
 
 
 def _distribute_and_lookup(
@@ -314,9 +293,11 @@ def baseline_exchange(
 
     Every rank ends with all features' embeddings for its local batch,
     columns ordered by feature id. ``batch`` must be validated against
-    ``placement.tables`` (make_batch does so).
+    ``placement.tables`` (make_batch does so). Starts from baseline_plan,
+    returns its layout, and raises InvariantError (check_plan) if the run's
+    trace or flops leave the plan.
     """
-    _check_placement(batch, placement, topo)
+    planned = baseline_plan(batch, placement, topo)
     trace = CommTrace(topo)
     world = list(range(topo.world_size))
     blocks, lookup_flops = _distribute_and_lookup(batch, placement, topo, trace)
@@ -331,13 +312,11 @@ def baseline_exchange(
     received = all_to_all(world, sends, "c", trace)
 
     outputs = {}
-    features = batch.features
-    widths = {f: placement.tables[f].dim for f in features}
     for rank in world:
         assembled = _assemble(received[rank], placement)
-        outputs[rank] = np.concatenate([assembled[f] for f in features], axis=1)
-    layout = OutputLayout(tuple(("feature", f, widths[f]) for f in features))
-    return ExchangeResult(outputs, layout, trace, {"b": max(lookup_flops.values())})
+        outputs[rank] = np.concatenate([assembled[f] for f in batch.features], axis=1)
+    flops = {"b": max(lookup_flops.values())}
+    return check_plan("baseline", ExchangeResult(outputs, planned.layout, trace, flops), planned)
 
 
 def tower_exchange(
@@ -355,9 +334,10 @@ def tower_exchange(
     lookups and step e its step-d bundles; step f releases each destination
     block as its class all-to-all takes it, and each receiver's blocks as
     they are concatenated. ``batch`` must be validated, as for
-    baseline_exchange.
+    baseline_exchange. Starts from tower_plan, returns its layout and
+    step-e flops, and is checked against it as baseline_exchange is.
     """
-    _check_placement(batch, placement, topo, plan)
+    planned = tower_plan(batch, placement, plan, topo, opts)
     layout = plan.layout
     width = layout.group_width(topo)
     num_towers = layout.num_towers
@@ -409,9 +389,7 @@ def tower_exchange(
         return out
 
     cfg = opts.tower_modules
-    layout_blocks: list[tuple[str, int, int]] = []
     dest_blocks: dict[int, list[np.ndarray]] = {}
-    tm_work = 0.0
     for tower in range(num_towers):
         group = layout.tower_ranks(tower, topo)
         feats = [f for f in plan.features_of(tower) if f in batch.pooling]
@@ -443,16 +421,11 @@ def tower_exchange(
             del blocks[owner]
 
         # Step e: regroup from (feature, destination) to (destination,
-        # feature) and apply the tower module per destination block.
-        in_dim, tower_width, flops = _step_e_shape(
-            cfg, placement, feats, tower, num_towers, batch_size
-        )
-        tm_work = max(tm_work, flops)
-        if cfg is None:
-            layout_blocks.extend(("feature", f, placement.tables[f].dim) for f in feats)
-        else:
+        # feature) and apply the tower module per destination block. The
+        # plan has checked that the tower's features share one dim.
+        if cfg is not None:
+            in_dim = placement.tables[feats[0]].dim if feats else 1
             weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
-            layout_blocks.append(("tower", tower, tower_width))
         for rank in group:
             per_dest = []
             for j in range(num_towers):
@@ -475,8 +448,8 @@ def tower_exchange(
         for member in group:
             outputs[member] = np.concatenate(received.pop(member), axis=1)
 
-    flops = {"b": max(lookup_flops.values()), "e": tm_work}
-    return ExchangeResult(outputs, OutputLayout(tuple(layout_blocks)), trace, flops)
+    flops = {"b": max(lookup_flops.values()), "e": planned.flops["e"]}
+    return check_plan("tower", ExchangeResult(outputs, planned.layout, trace, flops), planned)
 
 
 def _record(trace: CommTrace, label: str, group: Sequence[int], nbytes: np.ndarray,
@@ -547,8 +520,9 @@ def _count_in_ranges(indices: np.ndarray, ranges: list[tuple[int, int]]) -> list
 
 def baseline_plan(
     batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology
-) -> tuple[CommTrace, dict[str, float]]:
-    """The trace and flops of baseline_exchange, derived from shapes alone.
+) -> ExchangeResult:
+    """The layout, trace and flops of baseline_exchange, derived from shapes
+    alone, with no outputs.
 
     Nothing is looked up or moved. Rejects what baseline_exchange rejects;
     ``batch`` must be validated.
@@ -562,7 +536,8 @@ def baseline_plan(
         widths[shard.rank] += shard.width
     _record(trace, "c", range(topo.world_size),
             _same_to_every_member(BYTES_PER_ELEMENT * batch.local_batch * widths))
-    return trace, {"b": lookup_flops}
+    layout = OutputLayout(tuple(("feature", f, placement.tables[f].dim) for f in batch.features))
+    return ExchangeResult({}, layout, trace, {"b": lookup_flops})
 
 
 def tower_plan(
@@ -571,8 +546,9 @@ def tower_plan(
     plan: TowerPlan,
     topo: ClusterTopology,
     opts: ExchangeOptions = ExchangeOptions(),
-) -> tuple[CommTrace, dict[str, float]]:
-    """The trace and flops of tower_exchange, derived from shapes alone.
+) -> ExchangeResult:
+    """The layout, trace and flops of tower_exchange, derived from shapes
+    alone, with no outputs.
 
     Nothing is looked up, moved or run through a tower module. Rejects what
     tower_exchange rejects; ``batch`` must be validated. swap_bc and
@@ -593,6 +569,8 @@ def tower_plan(
         if shard.table_id not in rs_shards:
             widths[shard.rank] += shard.width
 
+    cfg = opts.tower_modules
+    blocks: list[tuple[str, int, int]] = []
     tower_widths, tm_work = [], 0.0
     for tower in range(num_towers):
         group = layout.tower_ranks(tower, topo)
@@ -606,18 +584,30 @@ def tower_plan(
                 present = _same_to_every_member(np.array([m in owners for m in group]))
                 nbytes = row_bytes * placement.tables[feat].dim * present.astype(np.int64)
                 _record(trace, "d", group, nbytes, present)
-        _, tower_width, flops = _step_e_shape(
-            opts.tower_modules, placement, feats, tower, num_towers, batch_size
-        )
-        tower_widths.append(tower_width)
-        tm_work = max(tm_work, flops)
+        # Step e: the tower's block for each destination is its features'
+        # columns, or its tower module's output, one forward per destination.
+        dims = {placement.tables[f].dim for f in feats}
+        if cfg is None:
+            tower_blocks = [("feature", f, placement.tables[f].dim) for f in feats]
+        elif len(dims) > 1:
+            raise PlanError(
+                f"tower {tower} mixes embedding dims {sorted(dims)}; "
+                "tower modules need one dim per tower"
+            )
+        else:
+            in_dim = dims.pop() if dims else 1
+            tower_blocks = [("tower", tower, tm_output_width(cfg, len(feats), in_dim))]
+            tm_work = max(tm_work, num_towers * tm_flops(cfg, len(feats), in_dim, batch_size))
+        blocks += tower_blocks
+        tower_widths.append(sum(width for _, _, width in tower_blocks))
 
     # Step f: within each class, tower t's member sends every member its
     # tower's (batch, width) block.
     sent = BYTES_PER_ELEMENT * batch_size * np.array(tower_widths, dtype=np.int64)
     for cls in range(layout.group_width(topo)):
         _record(trace, "f", class_members(cls, topo, layout), _same_to_every_member(sent))
-    return trace, {"b": lookup_flops, "e": tm_work}
+    flops = {"b": lookup_flops, "e": tm_work}
+    return ExchangeResult({}, OutputLayout(tuple(blocks)), trace, flops)
 
 
 def _same_collective(a: Collective, b: Collective) -> bool:
@@ -628,16 +618,13 @@ def _same_collective(a: Collective, b: Collective) -> bool:
     )
 
 
-def check_plan(
-    pipeline: str, result: ExchangeResult, planned: tuple[CommTrace, dict[str, float]]
-) -> None:
-    """Raise InvariantError unless a run's trace and flops equal its plan's.
+def check_plan(pipeline: str, result: ExchangeResult, planned: ExchangeResult) -> ExchangeResult:
+    """``result`` once a run's trace and flops equal its plan's.
 
-    Names the pipeline and the first collective that differs, by index and
-    label.
+    Otherwise raise InvariantError naming the pipeline and the first
+    collective that differs, by index and label.
     """
-    trace, flops = planned
-    pairs = itertools.zip_longest(result.trace.collectives, trace.collectives)
+    pairs = itertools.zip_longest(result.trace.collectives, planned.trace.collectives)
     for index, (ran, planned_one) in enumerate(pairs):
         if ran is None or planned_one is None or not _same_collective(ran, planned_one):
             label = (planned_one or ran).label
@@ -645,10 +632,11 @@ def check_plan(
                 f"{pipeline} pipeline: collective {index} (label {label!r}) "
                 "differs from its plan"
             )
-    if result.flops != flops:
+    if result.flops != planned.flops:
         raise InvariantError(
-            f"{pipeline} pipeline: flops {result.flops} differ from its plan's {flops}"
+            f"{pipeline} pipeline: flops {result.flops} differ from its plan's {planned.flops}"
         )
+    return result
 
 
 def feature_columns(layout: OutputLayout, target_feature_order: Sequence[int]) -> list[slice]:

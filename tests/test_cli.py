@@ -324,6 +324,33 @@ def test_non_numeric_config_value_names_field(tmp_path, rng, capsys, command, ov
     assert "config error" in err and field in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_random_sweep_count_below_one_is_config_error(capsys, count):
+    # No count below 1 checks a config: it is no sweep, nor a mismatch.
+    assert main(["verify", "--random-sweep", count]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: --random-sweep: must be >= 1\n")
+
+
+def test_assignment_under_random_sweep_is_rejected(capsys):
+    # The random configs draw their own assignments, so a given file has no reader.
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--random-sweep", "2", "--assignment", "/nonexistent"])
+    assert exit_.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "--assignment" in err and "--random-sweep" in err
+
+
+def test_sweep_key_given_twice_is_config_error(tmp_path, capsys):
+    # Each combination would run the last value only, under two labels.
+    out = tmp_path / "out"
+    argv = ["--config", str(write_config(tmp_path)), "--out", str(out), "cost",
+            "--sweep", "batch.local_size=1,2", "--sweep", "batch.local_size=3"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: batch.local_size: given to --sweep more than once\n"
+    assert not out.exists()
+
+
 def test_negative_random_sweep_seed_is_config_error(tmp_path, capsys):
     argv = ["--seed", "-1", "--out", str(tmp_path / "out"), "verify", "--random-sweep", "3"]
     assert main(argv) == EXIT_CONFIG
@@ -854,10 +881,10 @@ def test_plan_mismatch_is_an_internal_error(tmp_path, monkeypatch, capsys):
     plan = exchange.tower_plan
 
     def corrupted(*args):
-        trace, flops = plan(*args)
-        last = trace.collectives[-1]
-        trace.collectives[-1] = last._replace(nbytes=last.nbytes + 4)
-        return trace, flops
+        planned = plan(*args)
+        last = planned.trace.collectives[-1]
+        planned.trace.collectives[-1] = last._replace(nbytes=last.nbytes + 4)
+        return planned
 
     monkeypatch.setattr(exchange, "tower_plan", corrupted)
     out = tmp_path / "out"

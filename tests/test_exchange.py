@@ -6,6 +6,7 @@ from conftest import build_run, direct_lookup_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towersim import exchange
 from towersim.cli import RunContext, compare_exact, equivalence_check, random_config
 from towersim.embedding import (
     ROW_WISE,
@@ -411,13 +412,13 @@ def test_plans_equal_functional_runs_on_random_configs():
         )
         ctx = RunContext(cfg)
         base = baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
-        trace, flops = baseline_plan(ctx.batch, ctx.placement, ctx.topo)
-        assert_same_trace(base.trace, trace)
-        assert base.flops == flops
+        planned = baseline_plan(ctx.batch, ctx.placement, ctx.topo)
+        assert_same_trace(base.trace, planned.trace)
+        assert base.flops == planned.flops
         tower = tower_exchange(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
-        trace, flops = tower_plan(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
-        assert_same_trace(tower.trace, trace)
-        assert tower.flops == flops
+        planned = tower_plan(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
+        assert_same_trace(tower.trace, planned.trace)
+        assert tower.flops == planned.flops
 
 
 def test_check_plan_names_the_first_differing_collective():
@@ -427,21 +428,46 @@ def test_check_plan_names_the_first_differing_collective():
     )
     opts = ExchangeOptions(rowwise_reducescatter=True)
     result = tower_exchange(batch, placement, plan, topo, opts)
-    trace, flops = tower_plan(batch, placement, plan, topo, opts)
-    check_plan("tower", result, (trace, flops))
+    planned = tower_plan(batch, placement, plan, topo, opts)
+    assert check_plan("tower", result, planned) is result
+    trace = planned.trace
     labels = [c.label for c in trace.collectives]
     rs = next(i for i, c in enumerate(trace.collectives) if c.kind == "reduce_scatter")
     corrupt = trace.collectives[rs]
     trace.collectives[rs] = corrupt._replace(present=~corrupt.present)
     with pytest.raises(InvariantError, match=f"tower pipeline: collective {rs} \\(label 'd'\\)"):
-        check_plan("tower", result, (trace, flops))
+        check_plan("tower", result, planned)
     trace.collectives[rs] = corrupt
     del trace.collectives[-1]
     with pytest.raises(InvariantError, match=f"collective {len(labels) - 1} \\(label 'f'\\)"):
-        check_plan("tower", result, (trace, flops))
-    trace, _ = tower_plan(batch, placement, plan, topo, opts)
+        check_plan("tower", result, planned)
+    planned = tower_plan(batch, placement, plan, topo, opts)
+    planned.flops["b"] += 1
     with pytest.raises(InvariantError, match="flops"):
-        check_plan("tower", result, (trace, {**flops, "b": flops["b"] + 1}))
+        check_plan("tower", result, planned)
+
+
+@pytest.mark.parametrize("pipeline, label", [("baseline", "c"), ("tower", "d")])
+def test_a_direct_run_checks_itself_against_its_plan(monkeypatch, pipeline, label):
+    # Called as a library, with no CLI around it, a run whose plan differs
+    # from it in one collective raises, naming the pipeline and that collective.
+    topo, layout, tables, batch, placement, plan = build_run(num_hosts=2, ranks_per_host=2)
+    planner = getattr(exchange, f"{pipeline}_plan")
+
+    def corrupted(*args):
+        planned = planner(*args)
+        one = planned.trace.collectives[1]
+        planned.trace.collectives[1] = one._replace(nbytes=one.nbytes + 4)
+        return planned
+
+    monkeypatch.setattr(exchange, f"{pipeline}_plan", corrupted)
+    runs = {
+        "baseline": lambda: baseline_exchange(batch, placement, topo),
+        "tower": lambda: tower_exchange(batch, placement, plan, topo),
+    }
+    match = f"^{pipeline} pipeline: collective 1 \\(label '{label}'\\) differs from its plan$"
+    with pytest.raises(InvariantError, match=match):
+        runs[pipeline]()
 
 
 @st.composite
