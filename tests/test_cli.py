@@ -324,13 +324,6 @@ def test_non_numeric_config_value_names_field(tmp_path, rng, capsys, command, ov
     assert "config error" in err and field in err
 
 
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_random_sweep_count_below_one_is_config_error(capsys, count):
-    # No count below 1 checks a config: it is no sweep, nor a mismatch.
-    assert main(["verify", "--random-sweep", count]) == EXIT_CONFIG
-    assert capsys.readouterr() == ("", "config error: --random-sweep: must be >= 1\n")
-
-
 def test_assignment_under_random_sweep_is_rejected(capsys):
     # The random configs draw their own assignments, so a given file has no reader.
     with pytest.raises(SystemExit) as exit_:
@@ -338,17 +331,6 @@ def test_assignment_under_random_sweep_is_rejected(capsys):
     assert exit_.value.code == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()[-1]
     assert "--assignment" in err and "--random-sweep" in err
-
-
-def test_sweep_key_given_twice_is_config_error(tmp_path, capsys):
-    # Each combination would run the last value only, under two labels.
-    out = tmp_path / "out"
-    argv = ["--config", str(write_config(tmp_path)), "--out", str(out), "cost",
-            "--sweep", "batch.local_size=1,2", "--sweep", "batch.local_size=3"]
-    assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == "config error: batch.local_size: given to --sweep more than once\n"
-    assert not out.exists()
 
 
 def test_negative_random_sweep_seed_is_config_error(tmp_path, capsys):
@@ -441,6 +423,12 @@ def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
         ({"cost": {"efficiency": {1: 1.0, 4: 1.5}}}, ["verify"],
          "cost.efficiency: factor 1.5 at world 4 outside (0, 1]"),
         ({"cost": {"efficiency": {-4: 1.0}}}, ["cost"], "cost.efficiency: world -4 is below 1"),
+        # A count below 1 checks no config: it is no sweep, nor a mismatch.
+        ({}, ["verify", "--random-sweep", "0"], "--random-sweep: must be >= 1"),
+        ({}, ["verify", "--random-sweep", "-1"], "--random-sweep: must be >= 1"),
+        # Each combination would run the last value only, under two labels.
+        ({}, ["cost", "--sweep", "batch.local_size=1,2", "--sweep", "batch.local_size=3"],
+         "batch.local_size: given to --sweep more than once"),
     ],
 )
 def test_config_field_error_names_the_field(tmp_path, capsys, overrides, argv, error):
