@@ -26,6 +26,7 @@ import yaml
 
 from . import costmodel, exchange, partitioner, towermod
 from .embedding import (
+    POOL_NONE,
     ROW_WISE,
     SCHEMES,
     TABLE_SIZES,
@@ -212,7 +213,7 @@ def check_config(cfg: dict) -> tuple:
     built once every field of every block meets its bound, whichever command
     runs. A DomainError that a dataclass raises while its block is built
     leads with the field's name, and becomes a ConfigError naming
-    ``<block>.<field>``. Bounds that span blocks are checked by RunContext."""
+    ``<block>.<field>``. RunContext checks the other bounds that span blocks."""
     for path, rule in RULES.items():
         block, _, name = path.rpartition(".")
         value = (cfg[block] if block else cfg)[name]
@@ -233,6 +234,10 @@ def check_config(cfg: dict) -> tuple:
             built.append(build(cfg))
         except DomainError as exc:
             raise ConfigError(f"{block}.{exc}") from None
+    topo, group = built[0], built[0].ranks_per_host * layout["hosts_per_tower"]
+    _require(topo.world_size % group == 0, "layout.hosts_per_tower",
+             f"world size {topo.world_size} not divisible by "
+             f"ranks_per_host*hosts_per_tower={group}")
     return tuple(built)
 
 
@@ -333,8 +338,7 @@ def build_cost_params(cfg: dict) -> costmodel.CostParams:
 
 
 class RunContext:
-    """Everything one exchange run needs, built from a config dict. The runs
-    are plain calls, since each exchange run checks itself against its plan."""
+    """Everything one exchange run needs, built from a config dict."""
 
     def __init__(self, cfg: dict, assignment_path: Optional[str] = None):
         self.cfg = cfg
@@ -342,14 +346,7 @@ class RunContext:
         topo, hotness, tm, self.params = check_config(cfg)
         self.topo = topo
         h = cfg["layout"]["hosts_per_tower"]
-        group = topo.ranks_per_host * h
-        _require(
-            topo.world_size % group == 0,
-            "layout.hosts_per_tower",
-            f"world size {topo.world_size} not divisible by "
-            f"ranks_per_host*hosts_per_tower={group}",
-        )
-        self.layout = TowerLayout(num_towers=topo.world_size // group, hosts_per_tower=h)
+        self.layout = TowerLayout(topo.world_size // (topo.ranks_per_host * h), h)
         seed = _block_seed(cfg, 1)
         self.tables = {
             tid: init_table_deterministic(tid, t["rows"], t["dim"], seed, t["integer_values"])
@@ -367,9 +364,6 @@ class RunContext:
         )
         self.options = exchange.ExchangeOptions(tower_modules=tm, **cfg["exchange"])
         self.plan = exchange.TowerPlan(self.layout, self.assignment)
-
-    def run_baseline(self) -> exchange.ExchangeResult:
-        return exchange.baseline_exchange(self.batch, self.placement, self.topo)
 
     def run_tower(self) -> exchange.ExchangeResult:
         return exchange.tower_exchange(
@@ -392,21 +386,55 @@ class RunContext:
         return towermod.compression_ratio([width], [len(self.tables)], in_dim)
 
 
+def _reference_feature(ctx: RunContext, rank: int, feat: int) -> np.ndarray:
+    """Rank ``rank``'s bags of ``feat`` pooled over the unsharded table: a
+    gather, or a bag-order sum from zero per distinct row range, these summed
+    as the tower run sums row shards: each owner's in row order, then by rank."""
+    values, bags = ctx.placement.tables[feat].values, ctx.batch.rank_bags(rank, feat)
+    if ctx.batch.pooling[feat] == POOL_NONE:
+        return values[bags.values]
+    owner = {s.row_range: s.rank for s in ctx.placement.shards_of(feat)}
+    spans = sorted(owner)  # the distinct row ranges, which tile the table, in row order
+    span_of = np.searchsorted([lo for lo, _ in spans], bags.values, "right") - 1
+    partials = np.zeros((len(spans), len(bags), values.shape[1]))
+    for k in range(int(bags.lengths.max(initial=0))):  # one vectorised += per bag position
+        bag = np.flatnonzero(bags.lengths > k)
+        at = bags.offsets[bag] + k
+        partials[span_of[at], bag] += values[bags.values[at]]
+    sums: dict[int, np.ndarray] = {}
+    for i in sorted(range(len(spans)), key=lambda i: owner[spans[i]]):  # stable: row order
+        sums[owner[spans[i]]] = sums.get(owner[spans[i]], 0) + partials[i]
+    return functools.reduce(np.add, sums.values())
+
+
 def compare_exact(
-    baseline: exchange.ExchangeResult, tower: exchange.ExchangeResult
+    ctx: RunContext, result: exchange.ExchangeResult
 ) -> Optional[tuple[int, int, int, float, float]]:
-    """First differing (rank, row, col, baseline, tower), realigning rank by rank, or None."""
-    target = [ident for _, ident, _ in baseline.layout.blocks]
-    columns = exchange.feature_columns(tower.layout, target)
-    for rank in sorted(baseline.outputs):
-        a = baseline.outputs[rank]
-        b = np.concatenate([tower.outputs[rank][:, cols] for cols in columns], axis=1)
-        if a.shape != b.shape:
-            return (rank, -1, -1, float(a.shape[0]), float(b.shape[0]))
-        if not np.array_equal(a, b):
-            row, col = np.argwhere(a != b)[0]
-            return (rank, int(row), int(col), float(a[row, col]), float(b[row, col]))
-        del b  # before the next rank's copy is made
+    """First (rank, row, col, reference, result) where ``result`` differs
+    from the reference in its own layout, or None; a block of another shape
+    is reported at row -1 with both element counts. The reference is what
+    the flat pipeline gives by definition, built a block at a time from table
+    values, batch and shard ranges, never the pipelines' lookup: features'
+    _reference_feature, or a tower module over them, one forward per rank."""
+    tm = ctx.options.tower_modules
+    weights = functools.cache(lambda t, n, dim: towermod.init_tm_weights(tm, n, dim, salt=t))
+    for rank in sorted(result.outputs):
+        col = 0
+        for kind, ident, width in result.layout.blocks:
+            if kind == "feature":
+                a = _reference_feature(ctx, rank, ident)
+            else:
+                feats = ctx.plan.features_of(ident)
+                embs = (np.stack([_reference_feature(ctx, rank, f) for f in feats], axis=1)
+                        if feats else np.zeros((ctx.batch.local_batch, 0, 1)))
+                a = towermod.tm_forward(embs, tm, weights(ident, len(feats), embs.shape[2]))
+            b = result.outputs[rank][:, col:col + width]
+            if a.shape != b.shape:
+                return (rank, -1, col, float(a.size), float(b.size))
+            if not np.array_equal(a, b):
+                row, c = np.argwhere(a != b)[0]
+                return (rank, int(row), col + int(c), float(a[row, c]), float(b[row, c]))
+            col += width
     return None
 
 
@@ -419,17 +447,10 @@ def _byte_table(trace: CommTrace) -> list[str]:
 
 
 def run_verify(cfg: dict, out_dir: Path, assignment_path: Optional[str] = None) -> int:
-    kind = cfg["tm"]["kind"]
-    _require(
-        kind == PASSTHROUGH,
-        "tm.kind",
-        f"verify compares uncompressed feature columns, but {kind!r} compresses "
-        "each tower's block; use cost for tower modules",
-    )
     ctx = RunContext(cfg, assignment_path)
-    baseline = ctx.run_baseline()
     tower = ctx.run_tower()
-    mismatch = compare_exact(baseline, tower)
+    mismatch = compare_exact(ctx, tower)
+    baseline = exchange.baseline_plan(ctx.batch, ctx.placement, ctx.topo)
     out_dir.mkdir(parents=True, exist_ok=True)
     baseline.trace.save(out_dir / "baseline_trace.log")
     tower.trace.save(out_dir / "trace.log")
@@ -510,12 +531,11 @@ def random_config(rng: np.random.Generator) -> dict:
 
 
 def equivalence_check(cfg: dict) -> dict:
-    """Run both pipelines on one config; returns match + byte accounting facts."""
+    """Check one config's tower run against the reference; returns match + byte facts."""
     ctx = RunContext(cfg)
-    baseline = ctx.run_baseline()
     tower = ctx.run_tower()
-    mismatch = compare_exact(baseline, tower)
-    _, c_cross = baseline.trace.byte_totals("c")
+    mismatch = compare_exact(ctx, tower)
+    _, c_cross = exchange.baseline_plan(ctx.batch, ctx.placement, ctx.topo).trace.byte_totals("c")
     _, f_cross = tower.trace.byte_totals("f")
     d_intra, d_cross = tower.trace.byte_totals("d")
     multi_row = any(
@@ -725,10 +745,22 @@ def parse_sweep(spec: str) -> tuple[str, list]:
     return key, out
 
 
+def _override(key: str, value) -> dict:
+    """The nested mapping that sets dotted ``key`` to ``value``."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
 def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
     swept = [key for key, _ in sweeps]
-    for key in swept:
+    for key, values in sweeps:
         _require(swept.count(key) == 1, key, "given to --sweep more than once")
+        typed: dict = {}  # each value as _merge types it -> the value as given
+        for value in values:
+            leaf = functools.reduce(dict.get, key.split("."), _merge(cfg, _override(key, value)))
+            _require(leaf not in typed, key, f"{value!r} repeats {typed.get(leaf)!r} in --sweep")
+            typed[leaf] = value
     combos: list[list[tuple[str, object]]] = [[]]
     for key, values in sweeps:
         combos = [prev + [(key, v)] for prev in combos for v in values]
@@ -737,10 +769,7 @@ def run_cost(cfg: dict, sweeps: list[tuple[str, list]], out_dir: Path) -> int:
     for combo in combos:
         one = cfg
         for key, value in combo:
-            override = value
-            for part in reversed(key.split(".")):
-                override = {part: override}
-            one = _merge(one, override)
+            one = _merge(one, _override(key, value))
         row = cost_one(one)
         row["config"] = ";".join(f"{k}={v}" for k, v in combo) or "base"
         rows.append(row)
@@ -785,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="override output_dir")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="check tower pipeline against the baseline")
+    verify = sub.add_parser("verify", help="check the tower pipeline against a reference")
     source = verify.add_mutually_exclusive_group()
     source.add_argument("--assignment", help="feature->tower file from 'partition'")
     source.add_argument(

@@ -325,23 +325,15 @@ class SparseBatch:
     num_ranks: int
     local_batch: int
     pooling: dict[int, str]
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def features(self) -> list[int]:
         return sorted(self.pooling)
 
     def rank_bags(self, rank: int, feature: int) -> Bags:
-        """Rank ``rank``'s local_batch bags of ``feature``, as views.
-
-        Each view is made once and kept for the batch's life: verify's two
-        pipelines send the same views at step a.
-        """
-        key = (rank, feature)
-        if key not in self._views:
-            first = rank * self.local_batch
-            self._views[key] = self.bags[feature].view(first, first + self.local_batch)
-        return self._views[key]
+        """Rank ``rank``'s local_batch bags of ``feature``, as views."""
+        first = rank * self.local_batch
+        return self.bags[feature].view(first, first + self.local_batch)
 
     def indices_per_rank(self, feature: int) -> np.ndarray:
         """How many indices each rank holds of ``feature``, in rank order."""

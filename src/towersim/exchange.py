@@ -111,11 +111,6 @@ class OutputLayout:
 
     blocks: tuple[tuple[str, int, int], ...]
 
-    def feature_widths(self) -> dict[int, int]:
-        if any(kind != "feature" for kind, _, _ in self.blocks):
-            raise LayoutError("layout contains compressed tower blocks")
-        return {ident: width for _, ident, width in self.blocks}
-
 
 @dataclass
 class ExchangeResult:
@@ -295,7 +290,7 @@ def baseline_exchange(
     columns ordered by feature id. ``batch`` must be validated against
     ``placement.tables`` (make_batch does so). Starts from baseline_plan,
     returns its layout, and raises InvariantError (check_plan) if the run's
-    trace or flops leave the plan.
+    trace or flops leave the plan. Only tests run it, as the plan's oracle.
     """
     planned = baseline_plan(batch, placement, topo)
     trace = CommTrace(topo)
@@ -329,8 +324,8 @@ def tower_exchange(
     """Topology-aware pipeline over disjoint towers; see the module docstring.
 
     Output columns group features by tower (towers ascending, features by id
-    inside each tower); realign() maps back to feature-id order for
-    comparison against the baseline. Step d releases its tower's step-b
+    inside each tower), as the layout says; realign() maps them back to
+    feature-id order. Step d releases its tower's step-b
     lookups and step e its step-d bundles; step f releases each destination
     block as its class all-to-all takes it, and each receiver's blocks as
     they are concatenated. ``batch`` must be validated, as for
@@ -639,27 +634,17 @@ def check_plan(pipeline: str, result: ExchangeResult, planned: ExchangeResult) -
     return result
 
 
-def feature_columns(layout: OutputLayout, target_feature_order: Sequence[int]) -> list[slice]:
-    """Column slices of ``layout``'s features, in a target feature order."""
-    widths = layout.feature_widths()
-    if sorted(target_feature_order) != sorted(widths):
-        raise LayoutError(
-            f"target features {sorted(target_feature_order)} != "
-            f"layout features {sorted(widths)}"
-        )
-    starts, col = {}, 0
-    for _, ident, width in layout.blocks:
-        starts[ident], col = col, col + width
-    return [slice(starts[f], starts[f] + widths[f]) for f in target_feature_order]
-
-
 def realign(result: ExchangeResult, target_feature_order: Sequence[int]) -> ExchangeResult:
     """Reorder output columns into a target feature order (no wire traffic)."""
-    columns = feature_columns(result.layout, target_feature_order)
-    outputs = {
-        rank: np.concatenate([mat[:, cols] for cols in columns], axis=1)
-        for rank, mat in result.outputs.items()
-    }
-    widths = result.layout.feature_widths()
-    layout = OutputLayout(tuple(("feature", f, widths[f]) for f in target_feature_order))
-    return ExchangeResult(outputs, layout, result.trace, dict(result.flops))
+    columns, col = {}, 0
+    for kind, ident, width in result.layout.blocks:
+        if kind != "feature":
+            raise LayoutError("layout contains compressed tower blocks")
+        columns[ident], col = slice(col, col + width), col + width
+    if sorted(target_feature_order) != sorted(columns):
+        raise LayoutError(f"target features {sorted(target_feature_order)} != "
+                          f"layout features {sorted(columns)}")
+    outputs = {rank: np.concatenate([mat[:, columns[f]] for f in target_feature_order], axis=1)
+               for rank, mat in result.outputs.items()}
+    blocks = [("feature", f, columns[f].stop - columns[f].start) for f in target_feature_order]
+    return ExchangeResult(outputs, OutputLayout(tuple(blocks)), result.trace, dict(result.flops))

@@ -78,7 +78,7 @@ def test_criterion_1_semantic_preservation(equivalence_suite):
     assert len(hotness) == 2
     schemes = {c["tables"]["sharding"] for c, _ in runs}
     assert schemes == {"table_wise", "column_wise", "row_wise"}
-    announce(1, f"200/200 randomized configs exact after realign in {elapsed:.1f}s")
+    announce(1, f"200/200 randomized configs exact against the reference in {elapsed:.1f}s")
 
 
 def test_criterion_2_peer_class_order():

@@ -74,13 +74,63 @@ def test_verify_float_rowwise_reducescatter_matches(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["dlrm", "dcn"])
-def test_verify_rejects_tower_modules(tmp_path, capsys, kind):
-    cfg = write_config(tmp_path, {"tm": {"kind": kind}})
+def test_verify_checks_tower_modules(tmp_path, capsys, kind):
+    # Float tables and multi-hot row-wise bags under the reduce-scatter: each
+    # tower block must equal the tower module over the reference features.
+    cfg = write_config(tmp_path, {
+        "tables": {"hotness": [0, 4], "sharding": "row_wise", "shards_per_table": 2,
+                   "integer_values": False},
+        "exchange": {"rowwise_reducescatter": True},
+        "tm": {"kind": kind, "out_dim": 3, "flat_outputs": 1},
+    })
     out = tmp_path / "out"
-    code = main(["--config", str(cfg), "--out", str(out), "verify"])
-    assert code == EXIT_CONFIG
-    assert "tm.kind" in capsys.readouterr().err
-    assert not (out / "report.txt").exists()
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+    assert capsys.readouterr() == ("result: exact match\n", "")
+    blocks = [line.split("\t")[:2] for line in (out / "layout.txt").read_text().splitlines()[1:]]
+    assert blocks == [["tower", "0"], ["tower", "1"]]
+
+
+def verify_exit(tmp_path, overrides):
+    cfg = write_config(tmp_path, overrides)
+    return main(["--config", str(cfg), "--out", str(tmp_path / "out"), "verify"])
+
+
+def test_verify_catches_a_lookup_that_reverses_pooling(tmp_path, capsys, monkeypatch):
+    # Both pipelines look up through exchange.lookup; the reference does not.
+    lookup = exchange.lookup
+
+    def reversed_pooling(values, bags, pooling):
+        pooled = lookup(values, bags, pooling)
+        return pooled[::-1].copy() if pooling == "sum" else pooled
+
+    monkeypatch.setattr(exchange, "lookup", reversed_pooling)
+    assert verify_exit(tmp_path, {"tables": {"hotness": [0, 3]}}) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("result: MISMATCH at rank=0 ")
+
+
+@pytest.mark.parametrize("kind", ["dlrm", "dcn"])
+def test_verify_catches_a_tower_module_salt_off_by_one(tmp_path, monkeypatch, kind):
+    init = exchange.init_tm_weights
+    monkeypatch.setattr(exchange, "init_tm_weights",
+                        lambda cfg, n, dim, salt: init(cfg, n, dim, salt=salt + 1))
+    assert verify_exit(tmp_path, {"tm": {"kind": kind, "out_dim": 2}}) == EXIT_MISMATCH
+
+
+def test_verify_catches_two_swapped_step_f_tower_blocks(tmp_path, capsys, monkeypatch):
+    # Two towers of two features each: equal block widths, so only the
+    # values tell the blocks apart.
+    all_to_all = exchange.all_to_all
+
+    def swapped(group, sends, label, trace):
+        received = all_to_all(group, sends, label, trace)
+        if label == "f":
+            for blocks in received.values():
+                blocks[0], blocks[1] = blocks[1], blocks[0]
+        return received
+
+    monkeypatch.setattr(exchange, "all_to_all", swapped)
+    assert verify_exit(tmp_path, {"tm": {"kind": "dcn", "out_dim": 2}}) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("result: MISMATCH at rank=0 row=0 col=0 ")
 
 
 def test_verify_rerun_is_byte_identical(tmp_path):
@@ -429,6 +479,12 @@ def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
         # Each combination would run the last value only, under two labels.
         ({}, ["cost", "--sweep", "batch.local_size=1,2", "--sweep", "batch.local_size=3"],
          "batch.local_size: given to --sweep more than once"),
+        # 1.0 is typed to the integer 1: three rows of one config.
+        ({}, ["cost", "--sweep", "batch.local_size=1,1.0,1"],
+         "batch.local_size: 1.0 repeats 1 in --sweep"),
+        # Checked for every command, as the bound of each field is.
+        ({"layout": {"hosts_per_tower": 3}}, ["partition", "--embeddings", "none.csv"],
+         "layout.hosts_per_tower: world size 4 not divisible by ranks_per_host*hosts_per_tower=6"),
     ],
 )
 def test_config_field_error_names_the_field(tmp_path, capsys, overrides, argv, error):
@@ -733,14 +789,17 @@ def test_compare_exact_reports_first_difference(monkeypatch, tmp_path):
     from towersim.cli import RunContext, compare_exact, load_config, run_verify
 
     ctx = RunContext(load_config())
-    base = ctx.run_baseline()
     tower = ctx.run_tower()
-    assert compare_exact(base, tower) is None
+    assert compare_exact(ctx, tower) is None
     corrupted = _copy.deepcopy(tower)
     corrupted.outputs[1][0, 2] += 1.0
-    rank, row, col, a, b = compare_exact(base, corrupted)
+    rank, row, col, a, b = compare_exact(ctx, corrupted)
     assert (rank, row, col) == (1, 0, 2)
     assert b == a + 1.0
+    # A mis-sized block is reported with the element counts, not raised.
+    narrow = _copy.deepcopy(tower)
+    narrow.outputs[2] = narrow.outputs[2][:, :-1]
+    assert compare_exact(ctx, narrow) == (2, -1, 12, 8.0, 6.0)
     # Drive the verify command onto its mismatch path.
     monkeypatch.setattr(RunContext, "run_tower", lambda self: corrupted)
     code = run_verify(load_config(), tmp_path / "bad")
@@ -753,14 +812,14 @@ def test_compare_exact_reports_baseline_columns_under_strided_towers():
     from towersim.cli import RunContext, compare_exact, load_config
 
     ctx = RunContext(load_config(overrides={"layout": {"assignment": "strided"}}))
-    base = ctx.run_baseline()
     tower = ctx.run_tower()
     assert [ident for _, ident, _ in tower.layout.blocks] == [0, 2, 1, 3]
-    assert compare_exact(base, tower) is None
-    # Raw column 4 is feature 2's first column; baseline order puts it at 8.
+    assert compare_exact(ctx, tower) is None
+    # Column 4 is feature 2's first column: the mismatch names the column of
+    # the run's own layout (layout.txt), not feature 2's baseline column 8.
     tower.outputs[1][0, 4] += 1.0
-    rank, row, col, a, b = compare_exact(base, tower)
-    assert (rank, row, col) == (1, 0, 8)
+    rank, row, col, a, b = compare_exact(ctx, tower)
+    assert (rank, row, col) == (1, 0, 4)
     assert b == a + 1.0
 
 

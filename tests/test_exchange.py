@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towersim import exchange
-from towersim.cli import RunContext, compare_exact, equivalence_check, random_config
+from towersim.cli import (
+    RunContext,
+    compare_exact,
+    equivalence_check,
+    load_config,
+    random_config,
+)
 from towersim.embedding import (
     ROW_WISE,
     Bags,
@@ -354,33 +360,44 @@ def test_step_a_bytes_are_four_per_delivered_index():
 
 def test_verify_holds_one_pipeline_of_outputs():
     # 4 towers of 4 ranks; 16 table-wise single-hot features x 32 dims.
-    topo, _, _, batch, placement, plan = build_run(
-        num_hosts=4, ranks_per_host=4, dims=(32,), num_tables=16, local_batch=64
-    )
-    output_bytes = topo.world_size * 64 * 16 * 32 * 8
+    ctx = RunContext(load_config(overrides={
+        "topology": {"num_hosts": 4, "ranks_per_host": 4},
+        "tables": {"count": 16, "rows": 8, "dim": 32},
+        "batch": {"local_size": 64},
+    }))
+    output_bytes = ctx.topo.world_size * 64 * 16 * 32 * 8
     tracemalloc.start()
     try:
-        base = baseline_exchange(batch, placement, topo)
         live = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tower = tower_exchange(batch, placement, plan, topo)
+        tower = ctx.run_tower()
         tower_peak = tracemalloc.get_traced_memory()[1] - live
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        mismatch = compare_exact(base, tower)
+        mismatch = compare_exact(ctx, tower)
         compare_peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
     assert mismatch is None
-    # Baseline outputs stay live outside the measurement; the tower run
-    # holds its outputs plus one tower's working set, and the comparison
-    # one rank's realigned copy.
+    # The tower run holds its outputs plus one tower's working set, and the
+    # comparison one reference block at a time.
     assert tower_peak <= 2.0 * output_bytes
-    assert compare_peak < 2 * output_bytes / topo.world_size
+    assert compare_peak < 2 * output_bytes / ctx.topo.world_size
     # Lone pieces are passed on uncopied, so no output may be a view into a
     # lookup buffer.
-    for result in (base, tower):
-        assert all(out.base is None for out in result.outputs.values())
+    assert all(out.base is None for out in tower.outputs.values())
+
+
+def test_baseline_run_equals_the_reference_on_random_configs():
+    # The flat run stays the functional oracle of baseline_plan, and is held
+    # to the reference itself: float tables too, with bags up to 9 long.
+    rng = np.random.default_rng(4242)
+    for i in range(40):
+        cfg = random_config(rng)
+        cfg["tables"].update(integer_values=bool(i % 2), hotness=[0, 9] if i % 3 else 1)
+        ctx = RunContext(cfg)
+        base = baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
+        assert all(kind == "feature" for kind, _, _ in base.layout.blocks)
+        assert compare_exact(ctx, base) is None, cfg
 
 
 def assert_same_trace(ran, planned):

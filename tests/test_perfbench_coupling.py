@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from towersim import cli
+from towersim import cli, exchange
 from towersim.cli import RunContext, load_config
 from towersim.embedding import init_table_deterministic
 
@@ -80,7 +80,8 @@ def test_count_trace_matches_byte_totals(spans):
         "batch": {"local_size": 1},
         "exchange": {"rowwise_reducescatter": True},
     }))
-    traces = {"baseline": ctx.run_baseline().trace, "tower": ctx.run_tower().trace}
+    baseline = exchange.baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
+    traces = {"baseline": baseline.trace, "tower": ctx.run_tower().trace}
     delivered = sum(
         ctx.batch.rank_bags(src, shard.table_id).values.size
         for src in range(ctx.topo.world_size)
