@@ -23,7 +23,6 @@ from .exchange import (
     ExchangeOptions,
     ExchangeResult,
     OutputLayout,
-    TowerPlan,
     baseline_exchange,
     baseline_plan,
     realign,

@@ -353,21 +353,20 @@ class RunContext:
             for tid in range(t["count"])
         }
         self.hotness = dict.fromkeys(self.tables, hotness)
-        self.assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
+        assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
         plan = {
             tid: TablePlan(t["sharding"], t["shards_per_table"], tower)
-            for tid, tower in self.assignment.items()
+            for tid, tower in assignment.items()
         }
         self.placement = shard_tables(self.tables, plan, topo, self.layout)
         self.batch = make_batch(
             topo, self.tables, cfg["batch"]["local_size"], self.hotness, _block_seed(cfg, 2)
         )
         self.options = exchange.ExchangeOptions(tower_modules=tm, **cfg["exchange"])
-        self.plan = exchange.TowerPlan(self.layout, self.assignment)
 
     def run_tower(self) -> exchange.ExchangeResult:
         return exchange.tower_exchange(
-            self.batch, self.placement, self.plan, self.topo, self.options
+            self.batch, self.placement, self.layout, self.topo, self.options
         )
 
     @functools.cached_property
@@ -375,7 +374,7 @@ class RunContext:
         """The tower plan: layout, trace and flops, made once for cost and
         compression."""
         return exchange.tower_plan(
-            self.batch, self.placement, self.plan, self.topo, self.options
+            self.batch, self.placement, self.layout, self.topo, self.options
         )
 
     def compression(self) -> float:
@@ -418,13 +417,14 @@ def compare_exact(
     _reference_feature, or a tower module over them, one forward per rank."""
     tm = ctx.options.tower_modules
     weights = functools.cache(lambda t, n, dim: towermod.init_tm_weights(tm, n, dim, salt=t))
+    towers = exchange.tower_features(ctx.batch, ctx.placement, ctx.layout, ctx.topo)
     for rank in sorted(result.outputs):
         col = 0
         for kind, ident, width in result.layout.blocks:
             if kind == "feature":
                 a = _reference_feature(ctx, rank, ident)
             else:
-                feats = ctx.plan.features_of(ident)
+                feats = towers[ident]
                 embs = (np.stack([_reference_feature(ctx, rank, f) for f in feats], axis=1)
                         if feats else np.zeros((ctx.batch.local_batch, 0, 1)))
                 a = towermod.tm_forward(embs, tm, weights(ident, len(feats), embs.shape[2]))

@@ -10,7 +10,9 @@ embeddings per destination class (step d), reshuffles locally from
 (feature, destination) to (destination, feature) order (step e), optionally
 compresses each tower's block with its tower module, and finishes with
 concurrent per-class all-to-alls whose world size is the tower count
-(step f).
+(step f). A feature's tower is the one whose hosts hold its shards
+(tower_features), so the placement is the only feature -> tower map the
+tower pipeline reads; the TowerLayout says which hosts form each tower.
 
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
 contribute flops only. The tower pipeline releases each buffer once the next
@@ -63,17 +65,6 @@ from .towermod import (
     tm_forward,
     tm_output_width,
 )
-
-
-@dataclass(frozen=True)
-class TowerPlan:
-    """Tower layout plus the feature -> tower assignment."""
-
-    layout: TowerLayout
-    feature_towers: dict[int, int]
-
-    def features_of(self, tower: int) -> list[int]:
-        return sorted(f for f, t in self.feature_towers.items() if t == tower)
 
 
 # The ExchangeOptions fields that are boolean switches, in field order.
@@ -176,30 +167,24 @@ def _batch_shards(batch: SparseBatch, placement: ShardedEmbedding) -> list[tuple
     return [(sid, s) for sid, s in enumerate(placement.shards) if s.table_id in batch.pooling]
 
 
-def _check_placement(
-    batch: SparseBatch,
-    placement: ShardedEmbedding,
-    topo: ClusterTopology,
-    plan: Optional[TowerPlan] = None,
-) -> None:
-    """Up-front checks of a plan, and so of the run that starts from it:
-    every batch feature has shards and, under a tower plan, the layout tiles
-    the world and each feature's shards sit on its tower's ranks."""
-    if plan is None:
-        for feat in batch.features:
-            placement.shards_of(feat)
-        return
-    plan.layout.validate_for(topo)
+def tower_features(
+    batch: SparseBatch, placement: ShardedEmbedding, layout: TowerLayout, topo: ClusterTopology
+) -> list[list[int]]:
+    """Each tower's batch features in id order; a tower may have none.
+
+    A feature's tower is the one whose hosts hold its shards. Raises
+    PlanError for a feature with no shards or with shards in two towers,
+    and DomainError for a layout that does not tile the world.
+    """
+    layout.validate_for(topo)
+    features: list[list[int]] = [[] for _ in range(layout.num_towers)]
     for feat in batch.features:
-        if feat not in plan.feature_towers:
-            raise PlanError(f"feature {feat} has no tower assignment")
-        tower = plan.feature_towers[feat]
-        ranks = set(plan.layout.tower_ranks(tower, topo))
-        owners = {s.rank for s in placement.shards_of(feat)}
-        if not owners <= ranks:
-            raise PlanError(
-                f"feature {feat} mapped to tower {tower} but sharded on {sorted(owners)}"
-            )
+        towers = {topo.host_of(s.rank) // layout.hosts_per_tower
+                  for s in placement.shards_of(feat)}
+        if len(towers) > 1:
+            raise PlanError(f"feature {feat} has shards in towers {sorted(towers)}")
+        features[towers.pop()].append(feat)
+    return features
 
 
 def _reduce_scattered(
@@ -317,7 +302,7 @@ def baseline_exchange(
 def tower_exchange(
     batch: SparseBatch,
     placement: ShardedEmbedding,
-    plan: TowerPlan,
+    layout: TowerLayout,
     topo: ClusterTopology,
     opts: ExchangeOptions = ExchangeOptions(),
 ) -> ExchangeResult:
@@ -332,8 +317,7 @@ def tower_exchange(
     baseline_exchange. Starts from tower_plan, returns its layout and
     step-e flops, and is checked against it as baseline_exchange is.
     """
-    planned = tower_plan(batch, placement, plan, topo, opts)
-    layout = plan.layout
+    planned = tower_plan(batch, placement, layout, topo, opts)
     width = layout.group_width(topo)
     num_towers = layout.num_towers
     trace = CommTrace(topo)
@@ -385,9 +369,8 @@ def tower_exchange(
 
     cfg = opts.tower_modules
     dest_blocks: dict[int, list[np.ndarray]] = {}
-    for tower in range(num_towers):
+    for tower, feats in enumerate(tower_features(batch, placement, layout, topo)):
         group = layout.tower_ranks(tower, topo)
-        feats = [f for f in plan.features_of(tower) if f in batch.pooling]
 
         # Step d: one collective per tower assembling full-width embeddings
         # for each destination class on that class's local rank. Each
@@ -522,7 +505,8 @@ def baseline_plan(
     Nothing is looked up or moved. Rejects what baseline_exchange rejects;
     ``batch`` must be validated.
     """
-    _check_placement(batch, placement, topo)
+    for feat in batch.features:
+        placement.shards_of(feat)  # raises PlanError for a feature with no shards
     trace = CommTrace(topo)
     lookup_flops = _plan_steps_a_b(batch, placement, topo, trace)
     # Step c: each owner sends every rank one (batch, width) block per shard.
@@ -538,7 +522,7 @@ def baseline_plan(
 def tower_plan(
     batch: SparseBatch,
     placement: ShardedEmbedding,
-    plan: TowerPlan,
+    layout: TowerLayout,
     topo: ClusterTopology,
     opts: ExchangeOptions = ExchangeOptions(),
 ) -> ExchangeResult:
@@ -549,8 +533,7 @@ def tower_plan(
     tower_exchange rejects; ``batch`` must be validated. swap_bc and
     omit_permute change no byte count.
     """
-    _check_placement(batch, placement, topo, plan)
-    layout = plan.layout
+    towers = tower_features(batch, placement, layout, topo)
     num_towers = layout.num_towers
     batch_size = batch.local_batch
     trace = CommTrace(topo)
@@ -567,9 +550,8 @@ def tower_plan(
     cfg = opts.tower_modules
     blocks: list[tuple[str, int, int]] = []
     tower_widths, tm_work = [], 0.0
-    for tower in range(num_towers):
+    for tower, feats in enumerate(towers):
         group = layout.tower_ranks(tower, topo)
-        feats = [f for f in plan.features_of(tower) if f in batch.pooling]
         # Step d: one all-to-all, then one reduce-scatter per reduce-scattered
         # feature, to which only the feature's shard owners contribute.
         _record(trace, "d", group, _same_to_every_member(row_bytes * widths[group]))

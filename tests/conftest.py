@@ -13,7 +13,6 @@ from towersim.embedding import (
     make_batch,
     shard_tables,
 )
-from towersim.exchange import TowerPlan
 from towersim.topology import ClusterTopology, TowerLayout
 
 
@@ -32,7 +31,7 @@ def build_run(
     assignment: dict = None,
     seed: int = 0,
 ):
-    """Assemble (topo, layout, tables, batch, placement, plan) for one run.
+    """Assemble (topo, layout, tables, batch, placement) for one run.
 
     ``dims`` cycles over tables when shorter than the table count;
     ``assignment`` defaults to contiguous balanced blocks of feature ids.
@@ -64,7 +63,7 @@ def build_run(
     placement = shard_tables(tables, plan_map, topo, layout)
     hot = {tid: hotness for tid in tables}
     batch = make_batch(topo, tables, local_batch, hot, seed + 1)
-    return topo, layout, tables, batch, placement, TowerPlan(layout, assignment)
+    return topo, layout, tables, batch, placement
 
 
 def direct_lookup_oracle(batch, tables):

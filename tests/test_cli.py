@@ -241,6 +241,30 @@ def test_verify_explicit_layout_assignment(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("kind", ["passthrough", "dcn"])
+def test_assignment_file_and_explicit_layout_write_the_same_outputs(tmp_path, capsys, kind):
+    # The map only places the shards; the run reads each feature's tower
+    # from where they sit, whichever way the map was given.
+    towers = [1, 0, 0, 1]
+    run = {"tables": {"hotness": [0, 3], "sharding": "row_wise", "shards_per_table": 2},
+           "tm": {"kind": kind, "out_dim": 2}}
+    cfg = write_config(tmp_path, run)
+    explicit = write_config(
+        tmp_path, {**run, "layout": {"assignment": "explicit", "explicit": towers}}, "explicit.yaml"
+    )
+    assignment = tmp_path / "assignment.txt"
+    assignment.write_text("".join(f"{f}\t{t}\n" for f, t in enumerate(towers)))
+    by_file, by_config = tmp_path / "by_file", tmp_path / "by_config"
+    assert main(["--config", str(cfg), "--out", str(by_file),
+                 "verify", "--assignment", str(assignment)]) == EXIT_OK
+    assert main(["--config", str(explicit), "--out", str(by_config), "verify"]) == EXIT_OK
+    assert capsys.readouterr().out == "result: exact match\n" * 2
+    written = sorted(path.name for path in by_file.iterdir())
+    assert written == sorted(path.name for path in by_config.iterdir())
+    for name in written:
+        assert (by_file / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "explicit, error",
     [

@@ -13,7 +13,12 @@ from towersim.costmodel import (
 )
 from towersim.embedding import TablePlan, shard_tables
 from towersim.errors import DomainError, ReportError
-from towersim.exchange import ExchangeOptions, baseline_exchange, tower_exchange
+from towersim.exchange import (
+    ExchangeOptions,
+    baseline_exchange,
+    tower_exchange,
+    tower_features,
+)
 from towersim.simnet import CommTrace
 from towersim.topology import ClusterTopology
 
@@ -116,11 +121,11 @@ def test_empty_trace_zero_breakdown():
 
 
 def test_breakdown_totals_are_sums():
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4
     )
     params = CostParams()
-    result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
+    result = tower_exchange(batch, placement, layout, topo, ExchangeOptions())
     breakdown = pipeline_cost(result.trace, params, flops=result.flops)
     comm = sum(breakdown.per_step[s] for s in ("a", "d", "f"))
     compute = sum(breakdown.per_step.get(s, 0.0) for s in ("b", "e"))
@@ -130,7 +135,7 @@ def test_breakdown_totals_are_sums():
 
 
 def test_baseline_step_c_equals_direct_latency():
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, local_batch=2
     )
     params = CostParams()
@@ -142,11 +147,11 @@ def test_baseline_step_c_equals_direct_latency():
 
 
 def test_step_f_costed_as_concurrent_max():
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, local_batch=2
     )
     params = CostParams()
-    result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
+    result = tower_exchange(batch, placement, layout, topo, ExchangeOptions())
     breakdown = pipeline_cost(result.trace, params)
     sent = sent_by_rank(result.trace, "f")
     per_group = []
@@ -162,11 +167,11 @@ def test_step_f_costed_as_concurrent_max():
 def test_tower_spanning_hosts_costs_step_d_cross_host():
     # One tower over both hosts: its step-d all-to-all runs on the
     # scale-out link at the tower's width.
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, hosts_per_tower=2, dims=(4,), num_tables=4
     )
     params = CostParams()
-    result = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
+    result = tower_exchange(batch, placement, layout, topo, ExchangeOptions())
     breakdown = pipeline_cost(result.trace, params)
     per_rank = max(sent_by_rank(result.trace, "d").values())
     width = layout.group_width(topo)
@@ -179,16 +184,17 @@ def test_rowwise_reducescatter_step_d_is_one_collective_per_tower():
     # odd ones through the tower's all-to-all. Both run over the tower's
     # ranks, so each tower costs one collective over each rank's summed
     # step-d bytes.
-    topo, layout, tables, batch, _, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, hotness=(0, 3)
     )
     schemes = {
         tid: TablePlan(*(("row_wise", 2) if tid % 2 == 0 else ("table_wise", 1)), tower)
-        for tid, tower in plan.feature_towers.items()
+        for tower, tids in enumerate(tower_features(batch, placement, layout, topo))
+        for tid in tids
     }
     placement = shard_tables(tables, schemes, topo, layout)
     opts = ExchangeOptions(rowwise_reducescatter=True)
-    result = tower_exchange(batch, placement, plan, topo, opts)
+    result = tower_exchange(batch, placement, layout, topo, opts)
     width = layout.group_width(topo)
     step_d = [e for e in result.trace.entries if e.label == "d"]
     assert len(step_d) > layout.num_towers * width * width  # reduce-scatters ran
@@ -207,14 +213,14 @@ def test_rowwise_reducescatter_step_d_is_one_collective_per_tower():
 def test_compression_shrinks_step_f_time():
     from towersim.towermod import TMConfig
 
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(8,), num_tables=4, local_batch=2
     )
     params = CostParams()
-    plain = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
+    plain = tower_exchange(batch, placement, layout, topo, ExchangeOptions())
     tm = TMConfig(kind="dlrm", out_dim=2, per_feature_outputs=1, flat_outputs=0)
     squeezed = tower_exchange(
-        batch, placement, plan, topo, ExchangeOptions(tower_modules=tm)
+        batch, placement, layout, topo, ExchangeOptions(tower_modules=tm)
     )
     cost_plain = pipeline_cost(plain.trace, params)
     cost_squeezed = pipeline_cost(squeezed.trace, params)
@@ -227,11 +233,11 @@ def test_tower_beats_baseline_step_with_decaying_efficiency():
     # step c whenever several ranks share a host.
     table = {2 ** k: 0.85 ** k for k in range(10)}
     params = CostParams(alpha_up=1e-15, alpha_out=1e-15, efficiency=table)
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=4, ranks_per_host=4, dims=(4,), num_tables=8, local_batch=2
     )
     base = baseline_exchange(batch, placement, topo)
-    tower = tower_exchange(batch, placement, plan, topo, ExchangeOptions())
+    tower = tower_exchange(batch, placement, layout, topo, ExchangeOptions())
     cost_base = pipeline_cost(base.trace, params)
     cost_tower = pipeline_cost(tower.trace, params)
     assert cost_tower.per_step["f"] < cost_base.per_step["c"]

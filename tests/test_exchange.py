@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from towersim.cli import (
 from towersim.embedding import (
     ROW_WISE,
     Bags,
+    ShardedEmbedding,
     TablePlan,
     init_table_deterministic,
     make_batch,
@@ -26,7 +28,6 @@ from towersim.embedding import (
 from towersim.errors import InvariantError, LayoutError, PlanError
 from towersim.exchange import (
     ExchangeOptions,
-    TowerPlan,
     _count_in_ranges,
     baseline_exchange,
     baseline_plan,
@@ -40,14 +41,14 @@ from towersim.towermod import TMConfig, tm_output_width
 
 
 def run_both(opts=ExchangeOptions(), **kwargs):
-    topo, layout, tables, batch, placement, plan = build_run(**kwargs)
+    topo, layout, tables, batch, placement = build_run(**kwargs)
     base = baseline_exchange(batch, placement, topo)
-    tower = tower_exchange(batch, placement, plan, topo, opts)
-    return topo, layout, tables, batch, placement, plan, base, tower
+    tower = tower_exchange(batch, placement, layout, topo, opts)
+    return topo, layout, tables, batch, placement, base, tower
 
 
 def test_baseline_matches_direct_lookup_oracle():
-    topo, _, tables, batch, _, _, base, _ = run_both(
+    topo, _, tables, batch, _, base, _ = run_both(
         num_hosts=2, ranks_per_host=2, dims=(3, 5, 2, 4), rows=9, local_batch=2
     )
     oracle = direct_lookup_oracle(batch, tables)
@@ -57,7 +58,7 @@ def test_baseline_matches_direct_lookup_oracle():
 
 def test_four_rank_walkthrough_layout_and_equivalence():
     # 4 tables table-wise over 4 ranks on 2 hosts, 2 towers, local batch 1.
-    topo, layout, tables, batch, placement, plan, base, tower = run_both(
+    topo, layout, tables, batch, placement, base, tower = run_both(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, local_batch=1
     )
     assert [s.rank for s in placement.shards] == [0, 1, 2, 3]
@@ -74,7 +75,7 @@ def test_tower_grouped_output_order():
     # Strided assignment puts features {0,2} in tower 0 and {1,3} in tower 1;
     # tower output columns come tower-grouped, features ascending inside.
     assignment = {0: 0, 1: 1, 2: 0, 3: 1}
-    topo, layout, tables, batch, placement, plan, base, tower = run_both(
+    topo, layout, tables, batch, placement, base, tower = run_both(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, assignment=assignment
     )
     assert [b[1] for b in tower.layout.blocks] == [0, 2, 1, 3]
@@ -84,7 +85,7 @@ def test_tower_grouped_output_order():
 
 
 def test_single_rank_world_no_wire_bytes():
-    topo, _, tables, batch, _, _, base, tower = run_both(
+    topo, _, tables, batch, _, base, tower = run_both(
         num_hosts=1, ranks_per_host=1, dims=(3,), num_tables=2
     )
     assert base.trace.byte_totals() == (0, 0)
@@ -96,7 +97,7 @@ def test_single_rank_world_no_wire_bytes():
 def test_single_tower_spanning_all_hosts():
     # T=1: the final per-class collectives are singleton groups (zero wire);
     # output still equals the baseline.
-    topo, layout, tables, batch, placement, plan, base, tower = run_both(
+    topo, layout, tables, batch, placement, base, tower = run_both(
         num_hosts=2, ranks_per_host=2, hosts_per_tower=2, dims=(2, 3), num_tables=5
     )
     assert layout.num_towers == 1
@@ -138,7 +139,7 @@ def test_rowwise_reducescatter_equivalence_and_bytes():
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4,
         hotness=(0, 4), sharding="row_wise", shards_per_table=2,
     )
-    _, _, _, _, _, _, base, with_rs = run_both(
+    _, _, _, _, _, base, with_rs = run_both(
         ExchangeOptions(rowwise_reducescatter=True), **kwargs
     )
     *_, without_rs = run_both(ExchangeOptions(), **kwargs)
@@ -164,11 +165,10 @@ def test_rowwise_reducescatter_presums_shards_of_one_owner():
         owners = sorted(s.rank for s in placement.shards_of(t))
         assert owners == sorted(2 * layout.tower_ranks(assignment[t], topo))
     batch = make_batch(topo, tables, 3, {t: (0, 5) for t in tables}, 7)
-    plan = TowerPlan(layout, assignment)
     base = baseline_exchange(batch, placement, topo)
     results = [
         tower_exchange(
-            batch, placement, plan, topo, ExchangeOptions(rowwise_reducescatter=rs)
+            batch, placement, layout, topo, ExchangeOptions(rowwise_reducescatter=rs)
         )
         for rs in (True, False)
     ]
@@ -189,7 +189,7 @@ def test_step_d_intra_host_only_single_host_towers():
 
 
 def test_byte_conservation_cross_host():
-    _, _, _, _, _, _, base, tower = run_both(
+    _, _, _, _, _, base, tower = run_both(
         num_hosts=4, ranks_per_host=2, dims=(5,), num_tables=8, local_batch=3
     )
     _, c_cross = base.trace.byte_totals("c")
@@ -199,7 +199,7 @@ def test_byte_conservation_cross_host():
 
 def test_step_f_world_size_reduction():
     # Group count = ranks per super-host, each with one member per tower.
-    topo, layout, tables, batch, placement, plan, base, tower = run_both(
+    topo, layout, tables, batch, placement, base, tower = run_both(
         num_hosts=4, ranks_per_host=2, hosts_per_tower=2, dims=(3,), num_tables=4
     )
     width = layout.group_width(topo)
@@ -218,9 +218,9 @@ def test_tower_module_compression_bytes_and_width():
     )
     *_, passthrough = run_both(**kwargs)
     tm = TMConfig(kind="dlrm", out_dim=2, per_feature_outputs=1, flat_outputs=0)
-    topo, layout, tables, batch, placement, plan = build_run(**kwargs)
+    topo, layout, tables, batch, placement = build_run(**kwargs)
     compressed = tower_exchange(
-        batch, placement, plan, topo, ExchangeOptions(tower_modules=tm)
+        batch, placement, layout, topo, ExchangeOptions(tower_modules=tm)
     )
     # Per tower: 2 features of dim 8 -> 16 columns pass-through, 4 compressed.
     widths = [b[2] for b in compressed.layout.blocks]
@@ -256,62 +256,60 @@ def test_realign_errors():
     with pytest.raises(LayoutError):
         realign(base, [0, 5])
     tm = TMConfig(kind="dlrm", out_dim=2)
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=1, ranks_per_host=2, dims=(2,), num_tables=2
     )
     compressed = tower_exchange(
-        batch, placement, plan, topo, ExchangeOptions(tower_modules=tm)
+        batch, placement, layout, topo, ExchangeOptions(tower_modules=tm)
     )
     with pytest.raises(LayoutError):
         realign(compressed, [0, 1])
 
 
-def test_plan_errors():
-    topo, layout, tables, batch, placement, plan = build_run(
-        num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4
+@pytest.mark.parametrize("run", [tower_exchange, tower_plan])
+def test_feature_sharded_over_two_towers_is_rejected(run):
+    # A feature's tower is where its shards sit: feature 0's second row shard
+    # moved from tower 0's rank 1 to tower 1's rank 2 leaves it no tower.
+    topo, layout, tables, batch, placement = build_run(
+        num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4,
+        sharding="row_wise", shards_per_table=2,
     )
-    # Claim feature 0 lives in tower 1 while its shards sit in tower 0. The
-    # plan rejects it with the pipeline's error.
-    bad = TowerPlan(layout, {**plan.feature_towers, 0: 1})
-    missing = TowerPlan(layout, {k: v for k, v in plan.feature_towers.items() if k != 0})
-    for wrong, message in ((bad, "mapped to tower 1 but sharded on"),
-                           (missing, "feature 0 has no tower assignment")):
-        for run in (tower_exchange, tower_plan):
-            with pytest.raises(PlanError, match=message):
-                run(batch, placement, wrong, topo, ExchangeOptions())
+    first, second, *rest = placement.shards
+    assert (first.table_id, first.rank, second.table_id, second.rank) == (0, 0, 0, 1)
+    split = ShardedEmbedding(tables, [first, dataclasses.replace(second, rank=2), *rest])
+    with pytest.raises(PlanError, match=r"^feature 0 has shards in towers \[0, 1\]$"):
+        run(batch, split, layout, topo, ExchangeOptions())
 
 
 def test_placement_superset_of_batch():
     # Placement may hold tables the batch never references.
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4
     )
-    import dataclasses
-
     slim_pooling = {f: p for f, p in batch.pooling.items() if f != 3}
     slim_bags = {f: bags for f, bags in batch.bags.items() if f != 3}
     slim = dataclasses.replace(batch, bags=slim_bags, pooling=slim_pooling)
     base = baseline_exchange(slim, placement, topo)
-    tower = tower_exchange(slim, placement, plan, topo, ExchangeOptions())
+    tower = tower_exchange(slim, placement, layout, topo, ExchangeOptions())
     realigned = realign(tower, [0, 1, 2])
     for rank in base.outputs:
         assert np.array_equal(realigned.outputs[rank], base.outputs[rank])
 
 
 def test_tower_module_rejects_mixed_dims():
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=1, ranks_per_host=2, dims=(2, 5), num_tables=2
     )
     tm = TMConfig(kind="dlrm", out_dim=2)
     for run in (tower_exchange, tower_plan):
         with pytest.raises(PlanError, match=r"tower 0 mixes embedding dims \[2, 5\]"):
-            run(batch, placement, plan, topo, ExchangeOptions(tower_modules=tm))
+            run(batch, placement, layout, topo, ExchangeOptions(tower_modules=tm))
 
 
 def test_mixed_dims_and_empty_tower():
     # An unreferenced tower (no features) must still participate cleanly.
     assignment = {0: 0, 1: 0, 2: 2, 3: 2}
-    topo, layout, tables, batch, placement, plan, base, tower = run_both(
+    topo, layout, tables, batch, placement, base, tower = run_both(
         num_hosts=3, ranks_per_host=1, dims=(2, 5, 3, 1), num_tables=4,
         assignment=assignment,
     )
@@ -341,7 +339,7 @@ def test_trace_determinism_across_runs():
 def test_step_a_bytes_are_four_per_delivered_index():
     # Multi-hot row-wise tables with 2 shards each: every source sends each
     # owner its whole bag of every feature the owner holds a shard of.
-    topo, _, _, batch, placement, _, base, _ = run_both(
+    topo, _, _, batch, placement, base, _ = run_both(
         num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4, rows=10,
         hotness=(0, 6), sharding="row_wise", shards_per_table=2, local_batch=3,
     )
@@ -432,20 +430,20 @@ def test_plans_equal_functional_runs_on_random_configs():
         planned = baseline_plan(ctx.batch, ctx.placement, ctx.topo)
         assert_same_trace(base.trace, planned.trace)
         assert base.flops == planned.flops
-        tower = tower_exchange(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
-        planned = tower_plan(ctx.batch, ctx.placement, ctx.plan, ctx.topo, ctx.options)
+        tower = tower_exchange(ctx.batch, ctx.placement, ctx.layout, ctx.topo, ctx.options)
+        planned = tower_plan(ctx.batch, ctx.placement, ctx.layout, ctx.topo, ctx.options)
         assert_same_trace(tower.trace, planned.trace)
         assert tower.flops == planned.flops
 
 
 def test_check_plan_names_the_first_differing_collective():
-    topo, layout, tables, batch, placement, plan = build_run(
+    topo, layout, tables, batch, placement = build_run(
         num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4, hotness=(0, 3),
         sharding="row_wise", shards_per_table=2,
     )
     opts = ExchangeOptions(rowwise_reducescatter=True)
-    result = tower_exchange(batch, placement, plan, topo, opts)
-    planned = tower_plan(batch, placement, plan, topo, opts)
+    result = tower_exchange(batch, placement, layout, topo, opts)
+    planned = tower_plan(batch, placement, layout, topo, opts)
     assert check_plan("tower", result, planned) is result
     trace = planned.trace
     labels = [c.label for c in trace.collectives]
@@ -458,7 +456,7 @@ def test_check_plan_names_the_first_differing_collective():
     del trace.collectives[-1]
     with pytest.raises(InvariantError, match=f"collective {len(labels) - 1} \\(label 'f'\\)"):
         check_plan("tower", result, planned)
-    planned = tower_plan(batch, placement, plan, topo, opts)
+    planned = tower_plan(batch, placement, layout, topo, opts)
     planned.flops["b"] += 1
     with pytest.raises(InvariantError, match="flops"):
         check_plan("tower", result, planned)
@@ -468,7 +466,7 @@ def test_check_plan_names_the_first_differing_collective():
 def test_a_direct_run_checks_itself_against_its_plan(monkeypatch, pipeline, label):
     # Called as a library, with no CLI around it, a run whose plan differs
     # from it in one collective raises, naming the pipeline and that collective.
-    topo, layout, tables, batch, placement, plan = build_run(num_hosts=2, ranks_per_host=2)
+    topo, layout, tables, batch, placement = build_run(num_hosts=2, ranks_per_host=2)
     planner = getattr(exchange, f"{pipeline}_plan")
 
     def corrupted(*args):
@@ -480,7 +478,7 @@ def test_a_direct_run_checks_itself_against_its_plan(monkeypatch, pipeline, labe
     monkeypatch.setattr(exchange, f"{pipeline}_plan", corrupted)
     runs = {
         "baseline": lambda: baseline_exchange(batch, placement, topo),
-        "tower": lambda: tower_exchange(batch, placement, plan, topo),
+        "tower": lambda: tower_exchange(batch, placement, layout, topo),
     }
     match = f"^{pipeline} pipeline: collective 1 \\(label '{label}'\\) differs from its plan$"
     with pytest.raises(InvariantError, match=match):
