@@ -209,11 +209,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
 
 def check_config(cfg: dict) -> tuple:
-    """The topology, hotness, tower modules and cost parameters of ``cfg``,
-    built once every field of every block meets its bound, whichever command
-    runs. A DomainError that a dataclass raises while its block is built
-    leads with the field's name, and becomes a ConfigError naming
-    ``<block>.<field>``. RunContext checks the other bounds that span blocks."""
+    """The topology, hotness, tower modules, cost parameters, tower layout
+    and feature -> tower assignment of ``cfg``, built once every field of
+    every block meets its bound, whichever command runs. A DomainError that
+    a dataclass raises while its block is built leads with the field's name,
+    and becomes a ConfigError naming ``<block>.<field>``. The bounds that
+    span blocks are checked here too: the towers tile the topology, and the
+    layout.assignment mode gives each of tables.count features a known tower."""
     for path, rule in RULES.items():
         block, _, name = path.rpartition(".")
         value = (cfg[block] if block else cfg)[name]
@@ -238,7 +240,8 @@ def check_config(cfg: dict) -> tuple:
     _require(topo.world_size % group == 0, "layout.hosts_per_tower",
              f"world size {topo.world_size} not divisible by "
              f"ranks_per_host*hosts_per_tower={group}")
-    return tuple(built)
+    towers = TowerLayout(topo.world_size // group, layout["hosts_per_tower"])
+    return (*built, towers, build_assignment(cfg, towers, cfg["tables"]["count"]))
 
 
 def _block_seed(cfg: dict, salt: int) -> int:
@@ -343,17 +346,16 @@ class RunContext:
     def __init__(self, cfg: dict, assignment_path: Optional[str] = None):
         self.cfg = cfg
         t = cfg["tables"]
-        topo, hotness, tm, self.params = check_config(cfg)
+        topo, hotness, tm, self.params, self.layout, assignment = check_config(cfg)
+        if assignment_path is not None:
+            assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
         self.topo = topo
-        h = cfg["layout"]["hosts_per_tower"]
-        self.layout = TowerLayout(topo.world_size // (topo.ranks_per_host * h), h)
         seed = _block_seed(cfg, 1)
         self.tables = {
             tid: init_table_deterministic(tid, t["rows"], t["dim"], seed, t["integer_values"])
             for tid in range(t["count"])
         }
         self.hotness = dict.fromkeys(self.tables, hotness)
-        assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
         plan = {
             tid: TablePlan(t["sharding"], t["shards_per_table"], tower)
             for tid, tower in assignment.items()

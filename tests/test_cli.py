@@ -509,6 +509,17 @@ def test_fractional_integer_field_is_config_error(tmp_path, capsys, swept):
         # Checked for every command, as the bound of each field is.
         ({"layout": {"hosts_per_tower": 3}}, ["partition", "--embeddings", "none.csv"],
          "layout.hosts_per_tower: world size 4 not divisible by ranks_per_host*hosts_per_tower=6"),
+        # The config's own feature -> tower assignment, for every command.
+        ({"tables": {"count": 1}}, ["partition", "--embeddings", "none.csv"],
+         "tables.count: need at least num_towers=2 features"),
+        ({"layout": {"assignment": "explicit", "explicit": [0, 5, 1, 0]}},
+         ["partition", "--embeddings", "none.csv"],
+         "layout.explicit: feature 1 mapped to unknown tower 5"),
+        ({"layout": {"assignment": "explicit", "explicit": [0, 1]}},
+         ["partition", "--embeddings", "none.csv"], "layout.explicit: need a list of 4 tower ids"),
+        # Also beside an assignment file, which is never read.
+        ({"tables": {"count": 1}}, ["verify", "--assignment", "none.txt"],
+         "tables.count: need at least num_towers=2 features"),
     ],
 )
 def test_config_field_error_names_the_field(tmp_path, capsys, overrides, argv, error):
