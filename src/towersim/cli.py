@@ -240,8 +240,8 @@ def check_config(cfg: dict) -> tuple:
     _require(topo.world_size % group == 0, "layout.hosts_per_tower",
              f"world size {topo.world_size} not divisible by "
              f"ranks_per_host*hosts_per_tower={group}")
-    towers = TowerLayout(topo.world_size // group, layout["hosts_per_tower"])
-    return (*built, towers, build_assignment(cfg, towers, cfg["tables"]["count"]))
+    tower_layout = TowerLayout(topo.world_size // group, layout["hosts_per_tower"])
+    return (*built, tower_layout, build_assignment(cfg, tower_layout, cfg["tables"]["count"]))
 
 
 def _block_seed(cfg: dict, salt: int) -> int:

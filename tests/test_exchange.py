@@ -25,7 +25,7 @@ from towersim.embedding import (
     shard_tables,
     split_ranges,
 )
-from towersim.errors import InvariantError, LayoutError, PlanError
+from towersim.errors import DomainError, InvariantError, LayoutError, PlanError
 from towersim.exchange import (
     ExchangeOptions,
     _count_in_ranges,
@@ -279,6 +279,18 @@ def test_feature_sharded_over_two_towers_is_rejected(run):
     split = ShardedEmbedding(tables, [first, dataclasses.replace(second, rank=2), *rest])
     with pytest.raises(PlanError, match=r"^feature 0 has shards in towers \[0, 1\]$"):
         run(batch, split, layout, topo, ExchangeOptions())
+
+
+@pytest.mark.parametrize("run", [tower_exchange, tower_plan])
+def test_unsharded_feature_and_untiled_layout_are_rejected(run):
+    topo, layout, tables, batch, placement = build_run(
+        num_hosts=2, ranks_per_host=2, dims=(3,), num_tables=4
+    )
+    unsharded = ShardedEmbedding(tables, [s for s in placement.shards if s.table_id != 0])
+    with pytest.raises(PlanError, match="^table 0 has no shards$"):
+        run(batch, unsharded, layout, topo, ExchangeOptions())
+    with pytest.raises(DomainError, match=r"^num_towers 3 != world/2 = 2$"):
+        run(batch, placement, TowerLayout(num_towers=3), topo, ExchangeOptions())
 
 
 def test_placement_superset_of_batch():
