@@ -14,7 +14,11 @@ configs whose digest moved. The commands are:
   tower module passthrough, dlrm and dcn (out_dim 2); every other field
   keeps its default;
 - the three benchmark workloads of ``perfbench/workload.py`` at smoke size,
-  at seeds 1 and 2, partition on that file's ``planted_embeddings``.
+  at seeds 1 and 2, partition on that file's ``planted_embeddings``;
+- ``partition`` on a raw little-endian f32 copy of ``planted_embeddings(1,
+  smoke=True)`` with its ``.meta`` sidecar, and ``verify --assignment`` on
+  the default 2x2 config with a feature -> tower map that is neither
+  contiguous nor strided.
 
 The manifest records the Python, numpy and scipy versions it was made
 with; under other versions the test is skipped. After a change that moves
@@ -59,6 +63,7 @@ SWITCHES = ("FFF", "TFT", "FTF", "TTT")
 TOWER_MODULES = ("passthrough", "dlrm", "dcn")
 COMMANDS = {"verify": ("verify",), "cost": ("cost", "--sweep", "batch.local_size=1,3")}
 WORKLOAD_SEEDS = (1, 2)
+ASSIGNMENT = "0\t1\n1\t0\n2\t0\n3\t1\n"  # contiguous is 0 0 1 1, strided 0 1 0 1
 
 
 def versions() -> str:
@@ -121,6 +126,16 @@ def digests() -> dict[str, str]:
             argv.append("embeddings.csv")
         out[f"{name}/seed{seed} {work.argv[0]}"] = digest(work.config, argv)
         Path("embeddings.csv").unlink(missing_ok=True)
+    features, _ = workload.planted_embeddings(1, smoke=True)
+    features.astype("<f4").tofile("embeddings.f32")
+    Path("embeddings.f32.meta").write_text(f"{features.shape[0]} {features.shape[1]}\n")
+    partition = workload.workloads(smoke=True)["partition-planted-128"]
+    out["partition-planted-128/seed1/raw-f32 partition"] = digest(
+        partition.config, ["--seed", "1", *partition.argv, "embeddings.f32"])
+    Path("assignment.txt").write_text(ASSIGNMENT, encoding="utf-8")
+    out["2x2/assignment-file verify"] = digest({}, ["verify", "--assignment", "assignment.txt"])
+    for path in ("embeddings.f32", "embeddings.f32.meta", "assignment.txt"):
+        Path(path).unlink()
     return out
 
 
