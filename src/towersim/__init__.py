@@ -22,7 +22,6 @@ from .embedding import (
 from .exchange import (
     ExchangeOptions,
     ExchangeResult,
-    OutputLayout,
     baseline_exchange,
     baseline_plan,
     realign,

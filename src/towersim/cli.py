@@ -194,11 +194,29 @@ def _merge(base: dict, override: dict, path: str = "", default=DEFAULT_CONFIG) -
     return out
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader, except that a mapping key given twice is a
+    ConfigError naming the file, the line and the key: safe_load would keep
+    the last value and drop the others unread."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # rejects an unhashable key
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node)
+            if key in seen:
+                mark = key_node.start_mark
+                raise ConfigError(f"{mark.name}:{mark.line + 1}: key {key!r} given twice")
+            seen.add(key)
+        return mapping
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+            loaded = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         cfg = _merge(cfg, loaded)
@@ -344,25 +362,24 @@ class RunContext:
     """Everything one exchange run needs, built from a config dict."""
 
     def __init__(self, cfg: dict, assignment_path: Optional[str] = None):
-        self.cfg = cfg
         t = cfg["tables"]
         topo, hotness, tm, self.params, self.layout, assignment = check_config(cfg)
         if assignment_path is not None:
             assignment = build_assignment(cfg, self.layout, t["count"], assignment_path)
         self.topo = topo
         seed = _block_seed(cfg, 1)
-        self.tables = {
+        tables = {
             tid: init_table_deterministic(tid, t["rows"], t["dim"], seed, t["integer_values"])
             for tid in range(t["count"])
         }
-        self.hotness = dict.fromkeys(self.tables, hotness)
         plan = {
             tid: TablePlan(t["sharding"], t["shards_per_table"], tower)
             for tid, tower in assignment.items()
         }
-        self.placement = shard_tables(self.tables, plan, topo, self.layout)
+        self.placement = shard_tables(tables, plan, topo, self.layout)
         self.batch = make_batch(
-            topo, self.tables, cfg["batch"]["local_size"], self.hotness, _block_seed(cfg, 2)
+            topo, tables, cfg["batch"]["local_size"], dict.fromkeys(tables, hotness),
+            _block_seed(cfg, 2),
         )
         self.options = exchange.ExchangeOptions(tower_modules=tm, **cfg["exchange"])
 
@@ -381,10 +398,11 @@ class RunContext:
 
     def compression(self) -> float:
         """The tower modules' savings factor: the features' table widths over
-        the widths of the tower plan's output layout, which it prices at step f."""
-        width = sum(width for _, _, width in self.planned_tower.layout.blocks)
-        (in_dim,) = {table.dim for table in self.tables.values()}  # all tables.dim wide
-        return towermod.compression_ratio([width], [len(self.tables)], in_dim)
+        the widths of the tower plan's output blocks, which it prices at step f."""
+        width = sum(width for _, _, width in self.planned_tower.blocks)
+        tables = self.placement.tables
+        (in_dim,) = {table.dim for table in tables.values()}  # all tables.dim wide
+        return towermod.compression_ratio([width], [len(tables)], in_dim)
 
 
 def _reference_feature(ctx: RunContext, rank: int, feat: int) -> np.ndarray:
@@ -422,7 +440,7 @@ def compare_exact(
     towers = exchange.tower_features(ctx.batch, ctx.placement, ctx.layout, ctx.topo)
     for rank in sorted(result.outputs):
         col = 0
-        for kind, ident, width in result.layout.blocks:
+        for kind, ident, width in result.blocks:
             if kind == "feature":
                 a = _reference_feature(ctx, rank, ident)
             else:
@@ -458,7 +476,7 @@ def run_verify(cfg: dict, out_dir: Path, assignment_path: Optional[str] = None) 
     tower.trace.save(out_dir / "trace.log")
     with open(out_dir / "layout.txt", "w", encoding="utf-8") as fh:
         fh.write("# kind\tident\twidth\n")
-        for kind, ident, width in tower.layout.blocks:
+        for kind, ident, width in tower.blocks:
             fh.write(f"{kind}\t{ident}\t{width}\n")
     lines = [
         f"world={ctx.topo.world_size} hosts={ctx.topo.num_hosts} "
@@ -539,7 +557,7 @@ def equivalence_check(cfg: dict) -> dict:
     mismatch = compare_exact(ctx, tower)
     _, c_cross = exchange.baseline_plan(ctx.batch, ctx.placement, ctx.topo).trace.byte_totals("c")
     _, f_cross = tower.trace.byte_totals("f")
-    d_intra, d_cross = tower.trace.byte_totals("d")
+    _, d_cross = tower.trace.byte_totals("d")
     multi_row = any(
         len([s for s in ctx.placement.shards_of(f) if s.scheme == ROW_WISE]) > 1
         for f in ctx.batch.features
@@ -549,7 +567,6 @@ def equivalence_check(cfg: dict) -> dict:
         "mismatch": mismatch,
         "step_c_cross": c_cross,
         "step_f_cross": f_cross,
-        "step_d_intra": d_intra,
         "step_d_cross": d_cross,
         "bytes_comparable": ctx.layout.hosts_per_tower == 1 and not multi_row,
         "hosts_per_tower": ctx.layout.hosts_per_tower,
@@ -614,12 +631,12 @@ def read_embeddings(path: str) -> np.ndarray:
         rows, cols = (int(x) for x in meta.read_text().split())
     except ValueError:
         raise IngestionError(f"{meta}: expected two integers 'rows cols'") from None
-    data = np.fromfile(p, dtype="<f4")
-    if data.size != rows * cols:
-        raise IngestionError(
-            f"{path}: has {data.size} floats at offset 0, expected {rows * cols}"
-        )
-    data = data.reshape(rows, cols).astype(np.float64)
+    if rows < 1 or cols < 1:
+        raise IngestionError(f"{meta}: rows and cols must be >= 1, not {rows} {cols}")
+    size = p.stat().st_size
+    if size != 4 * rows * cols:
+        raise IngestionError(f"{path}: has {size} bytes, expected {rows * cols} floats of 4 bytes")
+    data = np.fromfile(p, dtype="<f4").reshape(rows, cols).astype(np.float64)
     bad = _nonfinite_row(data)
     if bad is not None:
         raise IngestionError(f"{path}: row {bad + 1} has a non-finite value")

@@ -20,10 +20,11 @@ step has consumed it, so it holds its outputs plus one tower in flight.
 
 Every byte count is a function of shapes alone: bag sizes, shard placement,
 table widths and tower-module output widths. baseline_plan and tower_plan
-derive each pipeline's output layout, trace and flops from those shapes
-without looking up or moving an embedding, and return them as an
-ExchangeResult with no outputs; the cost model costs the plans. Each
-functional pipeline starts from its plan, returns the plan's layout and ends
+both start from one pass over the batch's shards (_plan_steps_a_b) and
+derive each pipeline's output blocks, trace and flops from those shapes
+without looking up or moving an embedding; they return them as an
+ExchangeResult with no outputs, and the cost model costs the plans. Each
+functional pipeline starts from its plan, returns the plan's blocks and ends
 by checking its trace and flops against the plan, collective for collective
 (check_plan), wherever it is called.
 """
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Container, Optional, Sequence
 
 import numpy as np
 
@@ -92,26 +93,20 @@ class ExchangeOptions:
     tower_modules: Optional[TMConfig] = None
 
 
-@dataclass(frozen=True)
-class OutputLayout:
-    """Column layout of an exchange output: ordered (kind, ident, width) blocks.
-
-    kind is "feature" for raw embeddings and "tower" for compressed tower
-    blocks (whose feature columns are no longer individually addressable).
-    """
-
-    blocks: tuple[tuple[str, int, int], ...]
-
-
 @dataclass
 class ExchangeResult:
-    """Per-rank outputs, their layout, the trace and flops of a run; a plan's
-    has no outputs."""
+    """Per-rank outputs, their column blocks, the trace and flops of a run; a
+    plan's has no outputs.
+
+    blocks are the outputs' columns in order, as (kind, ident, width): kind
+    is "feature" for a raw embedding and "tower" for a compressed tower block,
+    whose feature columns are no longer individually addressable.
+    """
 
     outputs: dict[int, np.ndarray]
-    layout: OutputLayout
+    blocks: tuple[tuple[str, int, int], ...]
     trace: CommTrace
-    flops: dict[str, float] = field(default_factory=dict)
+    flops: dict[str, float]
 
 
 def _combine_pieces(pieces: list[tuple]) -> np.ndarray:
@@ -274,7 +269,7 @@ def baseline_exchange(
     Every rank ends with all features' embeddings for its local batch,
     columns ordered by feature id. ``batch`` must be validated against
     ``placement.tables`` (make_batch does so). Starts from baseline_plan,
-    returns its layout, and raises InvariantError (check_plan) if the run's
+    returns its blocks, and raises InvariantError (check_plan) if the run's
     trace or flops leave the plan. Only tests run it, as the plan's oracle.
     """
     planned = baseline_plan(batch, placement, topo)
@@ -296,7 +291,7 @@ def baseline_exchange(
         assembled = _assemble(received[rank], placement)
         outputs[rank] = np.concatenate([assembled[f] for f in batch.features], axis=1)
     flops = {"b": max(lookup_flops.values())}
-    return check_plan("baseline", ExchangeResult(outputs, planned.layout, trace, flops), planned)
+    return check_plan("baseline", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
 
 def tower_exchange(
@@ -309,12 +304,12 @@ def tower_exchange(
     """Topology-aware pipeline over disjoint towers; see the module docstring.
 
     Output columns group features by tower (towers ascending, features by id
-    inside each tower), as the layout says; realign() maps them back to
+    inside each tower), as the blocks say; realign() maps them back to
     feature-id order. Step d releases its tower's step-b
     lookups and step e its step-d bundles; step f releases each destination
     block as its class all-to-all takes it, and each receiver's blocks as
     they are concatenated. ``batch`` must be validated, as for
-    baseline_exchange. Starts from tower_plan, returns its layout and
+    baseline_exchange. Starts from tower_plan, returns its blocks and
     step-e flops, and is checked against it as baseline_exchange is.
     """
     planned = tower_plan(batch, placement, layout, topo, opts)
@@ -327,21 +322,16 @@ def tower_exchange(
     # Destination blocks in class order: all class-0 ranks (tower ascending),
     # then class-1, ... Chunk c of size num_towers is exactly peer class c.
     dest_seq = class_order(topo, layout)
-    if opts.swap_bc:
-        # Permute the (smaller) index payloads before lookup: blocks come out
-        # already in class order.
-        blocks, lookup_flops = _distribute_and_lookup(
-            batch, placement, topo, trace, dest_seq=dest_seq
-        )
-    else:
-        blocks, lookup_flops = _distribute_and_lookup(batch, placement, topo, trace)
-        if not opts.omit_permute:
-            blocks = {
-                owner: {
-                    sid: [mats[p] for p in dest_seq] for sid, mats in per_shard.items()
-                }
-                for owner, per_shard in blocks.items()
-            }
+    # swap_bc permutes the (smaller) index payloads before lookup, so blocks
+    # come out already in class order.
+    blocks, lookup_flops = _distribute_and_lookup(
+        batch, placement, topo, trace, dest_seq=dest_seq if opts.swap_bc else None
+    )
+    if not opts.swap_bc and not opts.omit_permute:
+        blocks = {
+            owner: {sid: [mats[p] for p in dest_seq] for sid, mats in per_shard.items()}
+            for owner, per_shard in blocks.items()
+        }
     # position[dest] indexes dest's block in blocks[owner][sid]. omit_permute
     # alone leaves blocks in rank order, and step d gathers through this
     # virtual ordering instead of a materialized permute.
@@ -427,7 +417,7 @@ def tower_exchange(
             outputs[member] = np.concatenate(received.pop(member), axis=1)
 
     flops = {"b": max(lookup_flops.values()), "e": planned.flops["e"]}
-    return check_plan("tower", ExchangeResult(outputs, planned.layout, trace, flops), planned)
+    return check_plan("tower", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
 
 def _record(trace: CommTrace, label: str, group: Sequence[int], nbytes: np.ndarray,
@@ -448,9 +438,15 @@ def _same_to_every_member(sent: np.ndarray) -> np.ndarray:
 
 
 def _plan_steps_a_b(
-    batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology, trace: CommTrace
-) -> float:
-    """Record step a's all-to-all and return step b's flops (the busiest owner's).
+    batch: SparseBatch,
+    placement: ShardedEmbedding,
+    topo: ClusterTopology,
+    skip: Container[int] = (),
+) -> tuple[CommTrace, float, np.ndarray]:
+    """Both plans' start, from one pass over the batch's shards: a trace
+    holding step a's all-to-all, step b's flops (the busiest owner's) and
+    each rank's summed shard width, leaving out the shards of ``skip``'s
+    features.
 
     Source s sends owner o every index of each feature o holds a shard of,
     so step a's bytes are 4 x (indices per source and feature) @ (shards per
@@ -458,21 +454,20 @@ def _plan_steps_a_b(
     range; other shards look up every index of their feature.
     """
     world = topo.world_size
-    shard_list = _batch_shards(batch, placement)
     feats = batch.features
     column = {f: i for i, f in enumerate(feats)}
     indices = np.zeros((world, len(feats)), dtype=np.int64)
     for f in feats:
         indices[:, column[f]] = batch.indices_per_rank(f)
-    held = np.zeros((len(feats), world), dtype=np.int64)
-    for _, shard in shard_list:
-        held[column[shard.table_id], shard.rank] += 1
-    _record(trace, "a", range(world), BYTES_PER_ELEMENT * indices @ held)
-
     totals = indices.sum(axis=0)
+    held = np.zeros((len(feats), world), dtype=np.int64)
+    widths = np.zeros(world, dtype=np.int64)
     row_shards: dict[int, list[Shard]] = {}
     work = [0] * world
-    for _, shard in shard_list:
+    for _, shard in _batch_shards(batch, placement):
+        held[column[shard.table_id], shard.rank] += 1
+        if shard.table_id not in skip:
+            widths[shard.rank] += shard.width
         if shard.scheme == ROW_WISE:
             row_shards.setdefault(shard.table_id, []).append(shard)
         else:
@@ -481,7 +476,9 @@ def _plan_steps_a_b(
         counts = _count_in_ranges(batch.bags[feat].values, [s.row_range for s in shards])
         for shard, looked_up in zip(shards, counts):
             work[shard.rank] += looked_up * shard.width
-    return float(max(work))
+    trace = CommTrace(topo)
+    _record(trace, "a", range(world), BYTES_PER_ELEMENT * indices @ held)
+    return trace, float(max(work)), widths
 
 
 def _count_in_ranges(indices: np.ndarray, ranges: list[tuple[int, int]]) -> list[int]:
@@ -499,7 +496,7 @@ def _count_in_ranges(indices: np.ndarray, ranges: list[tuple[int, int]]) -> list
 def baseline_plan(
     batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology
 ) -> ExchangeResult:
-    """The layout, trace and flops of baseline_exchange, derived from shapes
+    """The blocks, trace and flops of baseline_exchange, derived from shapes
     alone, with no outputs.
 
     Nothing is looked up or moved. Rejects what baseline_exchange rejects;
@@ -507,16 +504,12 @@ def baseline_plan(
     """
     for feat in batch.features:
         placement.shards_of(feat)  # raises PlanError for a feature with no shards
-    trace = CommTrace(topo)
-    lookup_flops = _plan_steps_a_b(batch, placement, topo, trace)
+    trace, lookup_flops, widths = _plan_steps_a_b(batch, placement, topo)
     # Step c: each owner sends every rank one (batch, width) block per shard.
-    widths = np.zeros(topo.world_size, dtype=np.int64)
-    for _, shard in _batch_shards(batch, placement):
-        widths[shard.rank] += shard.width
     _record(trace, "c", range(topo.world_size),
             _same_to_every_member(BYTES_PER_ELEMENT * batch.local_batch * widths))
-    layout = OutputLayout(tuple(("feature", f, placement.tables[f].dim) for f in batch.features))
-    return ExchangeResult({}, layout, trace, {"b": lookup_flops})
+    blocks = tuple(("feature", f, placement.tables[f].dim) for f in batch.features)
+    return ExchangeResult({}, blocks, trace, {"b": lookup_flops})
 
 
 def tower_plan(
@@ -526,7 +519,7 @@ def tower_plan(
     topo: ClusterTopology,
     opts: ExchangeOptions = ExchangeOptions(),
 ) -> ExchangeResult:
-    """The layout, trace and flops of tower_exchange, derived from shapes
+    """The blocks, trace and flops of tower_exchange, derived from shapes
     alone, with no outputs.
 
     Nothing is looked up, moved or run through a tower module. Rejects what
@@ -536,16 +529,11 @@ def tower_plan(
     towers = tower_features(batch, placement, layout, topo)
     num_towers = layout.num_towers
     batch_size = batch.local_batch
-    trace = CommTrace(topo)
-    lookup_flops = _plan_steps_a_b(batch, placement, topo, trace)
     rs_shards = _reduce_scattered(batch, placement, opts)
     # Step d's all-to-all sends each destination class one (batch, width)
     # block per tower of every shard but the reduce-scattered ones.
+    trace, lookup_flops, widths = _plan_steps_a_b(batch, placement, topo, skip=rs_shards)
     row_bytes = BYTES_PER_ELEMENT * num_towers * batch_size
-    widths = np.zeros(topo.world_size, dtype=np.int64)
-    for _, shard in _batch_shards(batch, placement):
-        if shard.table_id not in rs_shards:
-            widths[shard.rank] += shard.width
 
     cfg = opts.tower_modules
     blocks: list[tuple[str, int, int]] = []
@@ -584,7 +572,7 @@ def tower_plan(
     for cls in range(layout.group_width(topo)):
         _record(trace, "f", class_members(cls, topo, layout), _same_to_every_member(sent))
     flops = {"b": lookup_flops, "e": tm_work}
-    return ExchangeResult({}, OutputLayout(tuple(blocks)), trace, flops)
+    return ExchangeResult({}, tuple(blocks), trace, flops)
 
 
 def _same_collective(a: Collective, b: Collective) -> bool:
@@ -619,7 +607,7 @@ def check_plan(pipeline: str, result: ExchangeResult, planned: ExchangeResult) -
 def realign(result: ExchangeResult, target_feature_order: Sequence[int]) -> ExchangeResult:
     """Reorder output columns into a target feature order (no wire traffic)."""
     columns, col = {}, 0
-    for kind, ident, width in result.layout.blocks:
+    for kind, ident, width in result.blocks:
         if kind != "feature":
             raise LayoutError("layout contains compressed tower blocks")
         columns[ident], col = slice(col, col + width), col + width
@@ -629,4 +617,4 @@ def realign(result: ExchangeResult, target_feature_order: Sequence[int]) -> Exch
     outputs = {rank: np.concatenate([mat[:, columns[f]] for f in target_feature_order], axis=1)
                for rank, mat in result.outputs.items()}
     blocks = [("feature", f, columns[f].stop - columns[f].start) for f in target_feature_order]
-    return ExchangeResult(outputs, OutputLayout(tuple(blocks)), result.trace, dict(result.flops))
+    return ExchangeResult(outputs, tuple(blocks), result.trace, dict(result.flops))

@@ -143,11 +143,10 @@ def mds_embed(dist: np.ndarray, n_dims: int = 2, steps: int = 5000) -> EmbeddedC
 
 @dataclass(frozen=True)
 class TowerAssignment:
-    """Feature -> tower map with the balance factor it was built under."""
+    """Feature -> tower map over ``num_towers`` towers."""
 
     tower_of: tuple[int, ...]
     num_towers: int
-    balance: float = 1.0
 
     def towers(self) -> list[list[int]]:
         groups: list[list[int]] = [[] for _ in range(self.num_towers)]
@@ -241,7 +240,7 @@ def constrained_kmeans(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return TowerAssignment(tuple(int(t) for t in labels), num_towers, balance)
+    return TowerAssignment(tuple(int(t) for t in labels), num_towers)
 
 
 def naive_assignment(num_features: int, num_towers: int) -> TowerAssignment:

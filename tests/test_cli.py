@@ -690,6 +690,33 @@ def test_ingestion_errors(tmp_path, capsys):
         read_assignment(assignment)
     code = main(["--config", str(cfg), "verify", "--assignment", str(assignment)])
     assert code == EXIT_IO
+    capsys.readouterr()
+    # The sidecar's rows and cols are each at least 1, and the file holds
+    # exactly rows * cols little-endian floats, with no bytes left over.
+    for data, sidecar, message in (
+        (np.zeros(4, dtype="<f4").tobytes(), "-2 -2",
+         f"{raw}.meta: rows and cols must be >= 1, not -2 -2"),
+        (np.array([1, 2], dtype="<f4").tobytes() + b"\0\0", "1 2",
+         f"{raw}: has 10 bytes, expected 2 floats of 4 bytes"),
+        (b"", "0 3", f"{raw}.meta: rows and cols must be >= 1, not 0 3"),
+    ):
+        raw.write_bytes(data)
+        (tmp_path / "x.f32.meta").write_text(sidecar)
+        code = main(["--config", str(cfg), "partition", "--embeddings", str(raw)])
+        assert (code, capsys.readouterr().err) == (EXIT_IO, f"i/o error: {message}\n")
+
+
+def test_config_key_given_twice_is_config_error(tmp_path, capsys):
+    # safe_load would keep the last value; each repeat names the file, line and key.
+    top = tmp_path / "top.yaml"
+    top.write_text("tables:\n  count: 4\nbatch: {local_size: 2}\ntables:\n  count: 6\n")
+    nested = tmp_path / "nested.yaml"
+    nested.write_text("seed: 1\nbatch: {local_size: 2, local_size: 3}\n")
+    for path, line, key in ((top, 4, "tables"), (nested, 2, "local_size")):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "cost"])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_CONFIG, f"config error: {path}:{line}: key {key!r} given twice\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_assignment_feature_listed_twice_is_ingestion_error(tmp_path, capsys):
@@ -848,7 +875,7 @@ def test_compare_exact_reports_baseline_columns_under_strided_towers():
 
     ctx = RunContext(load_config(overrides={"layout": {"assignment": "strided"}}))
     tower = ctx.run_tower()
-    assert [ident for _, ident, _ in tower.layout.blocks] == [0, 2, 1, 3]
+    assert [ident for _, ident, _ in tower.blocks] == [0, 2, 1, 3]
     assert compare_exact(ctx, tower) is None
     # Column 4 is feature 2's first column: the mismatch names the column of
     # the run's own layout (layout.txt), not feature 2's baseline column 8.

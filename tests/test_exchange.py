@@ -63,9 +63,9 @@ def test_four_rank_walkthrough_layout_and_equivalence():
     )
     assert [s.rank for s in placement.shards] == [0, 1, 2, 3]
     # Baseline columns are feature blocks in id order.
-    assert [b[1] for b in base.layout.blocks] == [0, 1, 2, 3]
+    assert [b[1] for b in base.blocks] == [0, 1, 2, 3]
     # The tower result groups features by tower (here the same order).
-    assert [b[1] for b in tower.layout.blocks] == [0, 1, 2, 3]
+    assert [b[1] for b in tower.blocks] == [0, 1, 2, 3]
     realigned = realign(tower, [0, 1, 2, 3])
     for rank in range(4):
         assert np.array_equal(realigned.outputs[rank], base.outputs[rank])
@@ -78,7 +78,7 @@ def test_tower_grouped_output_order():
     topo, layout, tables, batch, placement, base, tower = run_both(
         num_hosts=2, ranks_per_host=2, dims=(4,), num_tables=4, assignment=assignment
     )
-    assert [b[1] for b in tower.layout.blocks] == [0, 2, 1, 3]
+    assert [b[1] for b in tower.blocks] == [0, 2, 1, 3]
     realigned = realign(tower, [0, 1, 2, 3])
     for rank in range(4):
         assert np.array_equal(realigned.outputs[rank], base.outputs[rank])
@@ -125,7 +125,7 @@ def test_flag_invariance_outputs_identical():
             outputs.append(tower)
     reference = outputs[0]
     for other in outputs[1:]:
-        assert other.layout == reference.layout
+        assert other.blocks == reference.blocks
         assert other.trace.entries == reference.trace.entries
         assert [(c.label, c.kind, c.group) for c in other.trace.collectives] == [
             (c.label, c.kind, c.group) for c in reference.trace.collectives
@@ -223,10 +223,10 @@ def test_tower_module_compression_bytes_and_width():
         batch, placement, layout, topo, ExchangeOptions(tower_modules=tm)
     )
     # Per tower: 2 features of dim 8 -> 16 columns pass-through, 4 compressed.
-    widths = [b[2] for b in compressed.layout.blocks]
+    widths = [b[2] for b in compressed.blocks]
     assert widths == [tm_output_width(tm, 2, 8)] * 2 == [4, 4]
     assert compressed.outputs[0].shape == (2, 8)
-    pass_width = sum(b[2] for b in passthrough.layout.blocks)
+    pass_width = sum(b[2] for b in passthrough.blocks)
     comp_width = sum(widths)
     _, f_pass = passthrough.trace.byte_totals("f")
     _, f_comp = compressed.trace.byte_totals("f")
@@ -406,13 +406,13 @@ def test_baseline_run_equals_the_reference_on_random_configs():
         cfg["tables"].update(integer_values=bool(i % 2), hotness=[0, 9] if i % 3 else 1)
         ctx = RunContext(cfg)
         base = baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
-        assert all(kind == "feature" for kind, _, _ in base.layout.blocks)
+        assert all(kind == "feature" for kind, _, _ in base.blocks)
         assert compare_exact(ctx, base) is None, cfg
 
 
-def assert_same_trace(ran, planned):
-    assert len(ran.collectives) == len(planned.collectives)
-    for a, b in zip(ran.collectives, planned.collectives):
+def assert_same_collectives(ran, planned):
+    assert len(ran) == len(planned)
+    for a, b in zip(ran, planned):
         assert (a.label, a.kind, a.group) == (b.label, b.kind, b.group)
         assert a.nbytes.tolist() == b.nbytes.tolist()
         assert a.present.tolist() == b.present.tolist()
@@ -439,13 +439,16 @@ def test_plans_equal_functional_runs_on_random_configs():
         )
         ctx = RunContext(cfg)
         base = baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
-        planned = baseline_plan(ctx.batch, ctx.placement, ctx.topo)
-        assert_same_trace(base.trace, planned.trace)
-        assert base.flops == planned.flops
+        base_plan = baseline_plan(ctx.batch, ctx.placement, ctx.topo)
+        assert_same_collectives(base.trace.collectives, base_plan.trace.collectives)
+        assert base.flops == base_plan.flops
         tower = tower_exchange(ctx.batch, ctx.placement, ctx.layout, ctx.topo, ctx.options)
         planned = tower_plan(ctx.batch, ctx.placement, ctx.layout, ctx.topo, ctx.options)
-        assert_same_trace(tower.trace, planned.trace)
+        assert_same_collectives(tower.trace.collectives, planned.trace.collectives)
         assert tower.flops == planned.flops
+        # Both plans start from one shared pass: the same step a and step-b flops.
+        assert_same_collectives(base_plan.trace.collectives[:1], planned.trace.collectives[:1])
+        assert base_plan.flops["b"] == planned.flops["b"]
 
 
 def test_check_plan_names_the_first_differing_collective():
