@@ -383,9 +383,9 @@ class RunContext:
         )
         self.options = exchange.ExchangeOptions(tower_modules=tm, **cfg["exchange"])
 
-    def run_tower(self) -> exchange.ExchangeResult:
+    def run_tower(self, consume: Optional[exchange.Consumer] = None) -> exchange.ExchangeResult:
         return exchange.tower_exchange(
-            self.batch, self.placement, self.layout, self.topo, self.options
+            self.batch, self.placement, self.layout, self.topo, self.options, consume
         )
 
     @functools.cached_property
@@ -427,20 +427,21 @@ def _reference_feature(ctx: RunContext, rank: int, feat: int) -> np.ndarray:
 
 
 def compare_exact(
-    ctx: RunContext, result: exchange.ExchangeResult
+    ctx: RunContext, outputs: dict[int, np.ndarray], blocks: Sequence[tuple[str, int, int]]
 ) -> Optional[tuple[int, int, int, float, float]]:
-    """First (rank, row, col, reference, result) where ``result`` differs
-    from the reference in its own layout, or None; a block of another shape
-    is reported at row -1 with both element counts. The reference is what
-    the flat pipeline gives by definition, built a block at a time from table
-    values, batch and shard ranges, never the pipelines' lookup: features'
+    """First (rank, row, col, reference, result) where ``outputs``, whose
+    columns ``blocks`` lay out, differ from the reference, in (rank, block,
+    row, column) order, or None; a block of another shape is reported at
+    row -1 with both element counts. The reference is what the flat pipeline
+    gives by definition, built a block at a time from table values, batch
+    and shard ranges, never the pipelines' lookup: features'
     _reference_feature, or a tower module over them, one forward per rank."""
     tm = ctx.options.tower_modules
     weights = functools.cache(lambda t, n, dim: towermod.init_tm_weights(tm, n, dim, salt=t))
     towers = exchange.tower_features(ctx.batch, ctx.placement, ctx.layout, ctx.topo)
-    for rank in sorted(result.outputs):
+    for rank in sorted(outputs):
         col = 0
-        for kind, ident, width in result.blocks:
+        for kind, ident, width in blocks:
             if kind == "feature":
                 a = _reference_feature(ctx, rank, ident)
             else:
@@ -448,7 +449,7 @@ def compare_exact(
                 embs = (np.stack([_reference_feature(ctx, rank, f) for f in feats], axis=1)
                         if feats else np.zeros((ctx.batch.local_batch, 0, 1)))
                 a = towermod.tm_forward(embs, tm, weights(ident, len(feats), embs.shape[2]))
-            b = result.outputs[rank][:, col:col + width]
+            b = outputs[rank][:, col:col + width]
             if a.shape != b.shape:
                 return (rank, -1, col, float(a.size), float(b.size))
             if not np.array_equal(a, b):
@@ -456,6 +457,27 @@ def compare_exact(
                 return (rank, int(row), col + int(c), float(a[row, c]), float(b[row, c]))
             col += width
     return None
+
+
+def checked_tower_run(
+    ctx: RunContext,
+) -> tuple[exchange.ExchangeResult, Optional[tuple[int, int, int, float, float]]]:
+    """The tower run, without outputs, and its first mismatch as compare_exact
+    reports it over the whole run. Each tower's columns are compared as step
+    f delivers them and then dropped, so the run holds one tower at a time.
+    The towers arrive in column order, so a rank's first mismatch is the
+    first one found for it."""
+    first = None
+
+    def check(col, blocks, chunks):
+        nonlocal first
+        found = compare_exact(ctx, chunks, blocks)
+        if found is not None and (first is None or found[0] < first[0]):
+            rank, row, c, a, b = found
+            first = (rank, row, col + c, a, b)
+
+    tower = ctx.run_tower(check)
+    return tower, first
 
 
 def _byte_table(trace: CommTrace) -> list[str]:
@@ -468,8 +490,7 @@ def _byte_table(trace: CommTrace) -> list[str]:
 
 def run_verify(cfg: dict, out_dir: Path, assignment_path: Optional[str] = None) -> int:
     ctx = RunContext(cfg, assignment_path)
-    tower = ctx.run_tower()
-    mismatch = compare_exact(ctx, tower)
+    tower, mismatch = checked_tower_run(ctx)
     baseline = exchange.baseline_plan(ctx.batch, ctx.placement, ctx.topo)
     out_dir.mkdir(parents=True, exist_ok=True)
     baseline.trace.save(out_dir / "baseline_trace.log")
@@ -553,8 +574,7 @@ def random_config(rng: np.random.Generator) -> dict:
 def equivalence_check(cfg: dict) -> dict:
     """Check one config's tower run against the reference; returns match + byte facts."""
     ctx = RunContext(cfg)
-    tower = ctx.run_tower()
-    mismatch = compare_exact(ctx, tower)
+    tower, mismatch = checked_tower_run(ctx)
     _, c_cross = exchange.baseline_plan(ctx.batch, ctx.placement, ctx.topo).trace.byte_totals("c")
     _, f_cross = tower.trace.byte_totals("f")
     _, d_cross = tower.trace.byte_totals("d")

@@ -247,11 +247,16 @@ class ShardedEmbedding:
     tables: dict[int, EmbeddingTable]
     shards: list[Shard] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._of_table: dict[int, list[Shard]] = {}
+        for shard in self.shards:
+            self._of_table.setdefault(shard.table_id, []).append(shard)
+
     def shards_of(self, table_id: int) -> list[Shard]:
-        found = [s for s in self.shards if s.table_id == table_id]
-        if not found:
+        """The table's shards in placement order, from an index built once."""
+        if table_id not in self._of_table:
             raise PlanError(f"table {table_id} has no shards")
-        return found
+        return list(self._of_table[table_id])
 
     def shard_values(self, shard: Shard) -> np.ndarray:
         table = self.tables[shard.table_id]

@@ -15,8 +15,12 @@ concurrent per-class all-to-alls whose world size is the tower count
 tower pipeline reads; the TowerLayout says which hosts form each tower.
 
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
-contribute flops only. The tower pipeline releases each buffer once the next
-step has consumed it, so it holds its outputs plus one tower in flight.
+contribute flops only. After step a the tower pipeline runs one tower at a
+time, steps b to f, and releases each buffer once the next step has consumed
+it. Each tower's output columns go to a consumer as step f delivers them, so
+a run that checks and drops them (verify) holds one tower in flight, not the
+world's outputs. Step f's deliveries add up to one collective per peer
+class, traced after the last tower, as the plan has it.
 
 Every byte count is a function of shapes alone: bag sizes, shard placement,
 table widths and tower-module output widths. baseline_plan and tower_plan
@@ -34,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Container, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 import numpy as np
 
@@ -198,23 +202,20 @@ def _reduce_scattered(
     return rs_shards
 
 
-def _distribute_and_lookup(
-    batch: SparseBatch,
-    placement: ShardedEmbedding,
-    topo: ClusterTopology,
-    trace: CommTrace,
-    dest_seq: Optional[Sequence[int]] = None,
-):
-    """Steps a and b, shared by both pipelines.
+def _distribute(
+    batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology, trace: CommTrace
+) -> tuple[dict[int, list[tuple]], dict[int, list[list]]]:
+    """Step a, shared by both pipelines: every source sends each owner its
+    bags of every shard the owner holds.
 
-    Returns (blocks, lookup_flops): blocks[owner][shard_index] is a list of
-    (batch, width) arrays ordered by ``dest_seq`` (rank order when None), and
-    lookup_flops maps rank to its lookup work. Each owner looks a shard up
-    once, over the bags of every source in that order.
+    Returns (by_owner, received): by_owner[owner] lists the owner's (shard
+    id, shard) of the batch's features, and received[owner][src] holds one
+    Tagged(shard id, bags) per entry of by_owner[owner], in that order.
     """
     world = list(range(topo.world_size))
-    shard_list = _batch_shards(batch, placement)
-    by_owner = {o: [(sid, s) for sid, s in shard_list if s.rank == o] for o in world}
+    by_owner: dict[int, list[tuple]] = {o: [] for o in world}
+    for sid, shard in _batch_shards(batch, placement):
+        by_owner[shard.rank].append((sid, shard))
 
     feats = batch.features
     for f in feats:
@@ -228,25 +229,41 @@ def _distribute_and_lookup(
             [Tagged(sid, views[s.table_id]) for sid, s in by_owner[owner]]
             for owner in world
         ]
-    received = all_to_all(world, sends, "a", trace)
+    return by_owner, all_to_all(world, sends, "a", trace)
 
-    order = list(dest_seq) if dest_seq is not None else world
+
+def _lookup(
+    batch: SparseBatch,
+    placement: ShardedEmbedding,
+    by_owner: dict[int, list[tuple]],
+    received: dict[int, list[list]],
+    owners: Sequence[int],
+    dest_seq: Sequence[int],
+    lookup_flops: dict[int, float],
+) -> dict[int, dict[int, list[np.ndarray]]]:
+    """Step b for ``owners``, releasing their step-a payloads.
+
+    blocks[owner][shard id] is a list of (batch, width) arrays, one per
+    destination in ``dest_seq`` order: each owner looks a shard up once,
+    over the bags of every source in that order, and adds the work to
+    ``lookup_flops[owner]``.
+    """
     blocks: dict[int, dict[int, list[np.ndarray]]] = {}
-    lookup_flops = {o: 0.0 for o in world}
     size = batch.local_batch
-    for owner in world:
+    for owner in owners:
         # Every source sends the owner's shards in the same order.
-        per_source = [[tagged.data for tagged in received[owner][src]] for src in order]
+        from_sources = received.pop(owner)
+        per_source = [[tagged.data for tagged in from_sources[src]] for src in dest_seq]
         per_shard: dict[int, list[np.ndarray]] = {}
         for k, (sid, shard) in enumerate(by_owner[owner]):
             parts = [bundle[k] for bundle in per_source]
             mat, flops = _shard_lookup(
                 placement, shard, Bags.concat(parts), batch.pooling[shard.table_id]
             )
-            per_shard[sid] = [mat[i * size:(i + 1) * size] for i in range(len(order))]
+            per_shard[sid] = [mat[i * size:(i + 1) * size] for i in range(len(dest_seq))]
             lookup_flops[owner] += flops
         blocks[owner] = per_shard
-    return blocks, lookup_flops
+    return blocks
 
 
 def _assemble(bundles, placement: ShardedEmbedding) -> dict[int, np.ndarray]:
@@ -275,7 +292,9 @@ def baseline_exchange(
     planned = baseline_plan(batch, placement, topo)
     trace = CommTrace(topo)
     world = list(range(topo.world_size))
-    blocks, lookup_flops = _distribute_and_lookup(batch, placement, topo, trace)
+    by_owner, received = _distribute(batch, placement, topo, trace)
+    lookup_flops = dict.fromkeys(world, 0.0)
+    blocks = _lookup(batch, placement, by_owner, received, world, world, lookup_flops)
 
     sends = {
         owner: [
@@ -294,48 +313,60 @@ def baseline_exchange(
     return check_plan("baseline", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
 
+# consume(col, blocks, chunks) of tower_exchange: one tower's output columns.
+Consumer = Callable[[int, tuple[tuple[str, int, int], ...], dict[int, np.ndarray]], None]
+
+
 def tower_exchange(
     batch: SparseBatch,
     placement: ShardedEmbedding,
     layout: TowerLayout,
     topo: ClusterTopology,
     opts: ExchangeOptions = ExchangeOptions(),
+    consume: Optional[Consumer] = None,
 ) -> ExchangeResult:
     """Topology-aware pipeline over disjoint towers; see the module docstring.
 
     Output columns group features by tower (towers ascending, features by id
     inside each tower), as the blocks say; realign() maps them back to
-    feature-id order. Step d releases its tower's step-b
-    lookups and step e its step-d bundles; step f releases each destination
-    block as its class all-to-all takes it, and each receiver's blocks as
-    they are concatenated. ``batch`` must be validated, as for
-    baseline_exchange. Starts from tower_plan, returns its blocks and
-    step-e flops, and is checked against it as baseline_exchange is.
+    feature-id order. Each tower's columns go to ``consume(col, blocks,
+    chunks)`` as step f delivers them: the tower's first output column, its
+    blocks, and each rank's (batch, width) block. With a consumer the result
+    holds no outputs; without one its outputs are each rank's chunks side by
+    side, and the run holds them plus one tower in flight. ``batch`` must be
+    validated, as for baseline_exchange. Starts from tower_plan, returns its
+    blocks and step-e flops, and is checked against it as baseline_exchange is.
     """
     planned = tower_plan(batch, placement, layout, topo, opts)
     width = layout.group_width(topo)
     num_towers = layout.num_towers
+    world = range(topo.world_size)
     trace = CommTrace(topo)
     batch_size = batch.local_batch
     members = [class_members(cls, topo, layout) for cls in range(width)]
 
+    outputs: dict[int, np.ndarray] = {}
+    if consume is None:
+        total = sum(w for _, _, w in planned.blocks)
+        outputs = {rank: np.empty((batch_size, total)) for rank in world}
+
+        def consume(col, _blocks, chunks):
+            for rank, chunk in chunks.items():
+                outputs[rank][:, col:col + chunk.shape[1]] = chunk
+
     # Destination blocks in class order: all class-0 ranks (tower ascending),
     # then class-1, ... Chunk c of size num_towers is exactly peer class c.
     dest_seq = class_order(topo, layout)
+    by_owner, received = _distribute(batch, placement, topo, trace)
+    lookup_flops = dict.fromkeys(world, 0.0)
     # swap_bc permutes the (smaller) index payloads before lookup, so blocks
     # come out already in class order.
-    blocks, lookup_flops = _distribute_and_lookup(
-        batch, placement, topo, trace, dest_seq=dest_seq if opts.swap_bc else None
-    )
-    if not opts.swap_bc and not opts.omit_permute:
-        blocks = {
-            owner: {sid: [mats[p] for p in dest_seq] for sid, mats in per_shard.items()}
-            for owner, per_shard in blocks.items()
-        }
+    lookup_seq = dest_seq if opts.swap_bc else world
+    permute = not opts.swap_bc and not opts.omit_permute
     # position[dest] indexes dest's block in blocks[owner][sid]. omit_permute
     # alone leaves blocks in rank order, and step d gathers through this
     # virtual ordering instead of a materialized permute.
-    order = range(topo.world_size) if opts.omit_permute and not opts.swap_bc else dest_seq
+    order = world if opts.omit_permute and not opts.swap_bc else dest_seq
     position = {rank: i for i, rank in enumerate(order)}
 
     def stacked(owner: int, sid: int, cls: int) -> np.ndarray:
@@ -358,9 +389,22 @@ def tower_exchange(
         return out
 
     cfg = opts.tower_modules
-    dest_blocks: dict[int, list[np.ndarray]] = {}
+    # Step f of each class, summed over the towers' deliveries: row t holds
+    # what tower t's member sent, and the other members are silent.
+    silent = [None] * num_towers
+    f_bytes = [np.zeros((num_towers, num_towers), dtype=np.int64) for _ in members]
+    delivery = CommTrace(topo)
+    col = first_block = 0
     for tower, feats in enumerate(tower_features(batch, placement, layout, topo)):
         group = layout.tower_ranks(tower, topo)
+
+        # Step b: the tower's owners look its shards up for every destination.
+        blocks = _lookup(batch, placement, by_owner, received, group, lookup_seq, lookup_flops)
+        if permute:
+            blocks = {
+                owner: {sid: [mats[p] for p in dest_seq] for sid, mats in per_shard.items()}
+                for owner, per_shard in blocks.items()
+            }
 
         # Step d: one collective per tower assembling full-width embeddings
         # for each destination class on that class's local rank. Each
@@ -377,16 +421,15 @@ def tower_exchange(
             ]
             for owner in group
         }
-        received = all_to_all(group, sends, "d", trace)
+        received_d = all_to_all(group, sends, "d", trace)
         del sends
-        assembled = {m: _assemble(received.pop(m), placement) for m in group}
+        assembled = {m: _assemble(received_d.pop(m), placement) for m in group}
         for feat in feats:
             if feat in rs_shards:
                 summed = reduce_scatter(group, partials(rs_shards[feat]), "d", trace)
                 for member in group:
                     assembled[member][feat] = summed[member]
-        for owner in group:  # owners sit in one tower only
-            del blocks[owner]
+        del blocks
 
         # Step e: regroup from (feature, destination) to (destination,
         # feature) and apply the tower module per destination block. The
@@ -394,6 +437,7 @@ def tower_exchange(
         if cfg is not None:
             in_dim = placement.tables[feats[0]].dim if feats else 1
             weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
+        dest_blocks: dict[int, list[np.ndarray]] = {}
         for rank in group:
             per_dest = []
             for j in range(num_towers):
@@ -409,13 +453,25 @@ def tower_exchange(
             dest_blocks[rank] = per_dest
         del assembled
 
-    # Step f: concurrent per-class all-to-alls, world size = tower count.
-    outputs: dict[int, np.ndarray] = {}
-    for group in members:
-        received = all_to_all(group, {m: dest_blocks.pop(m) for m in group}, "f", trace)
-        for member in group:
-            outputs[member] = np.concatenate(received.pop(member), axis=1)
+        # Step f: in each class, the tower's member (its local rank cls)
+        # sends every member its block, which arrives at the tower's position.
+        chunks: dict[int, np.ndarray] = {}
+        for cls, sender in enumerate(group):
+            sends = dict.fromkeys(members[cls], silent)
+            sends[sender] = dest_blocks.pop(sender)
+            for member, payloads in all_to_all(members[cls], sends, "f", delivery).items():
+                chunks[member] = payloads[tower]
+            f_bytes[cls] += delivery.collectives.pop().nbytes
+        count = len(feats) if cfg is None else 1
+        tower_blocks = planned.blocks[first_block:first_block + count]
+        consume(col, tower_blocks, chunks)
+        del chunks
+        first_block += count
+        col += sum(w for _, _, w in tower_blocks)
 
+    # Step f's concurrent per-class all-to-alls, world size = tower count.
+    for cls, group in enumerate(members):
+        _record(trace, "f", group, f_bytes[cls])
     flops = {"b": max(lookup_flops.values()), "e": planned.flops["e"]}
     return check_plan("tower", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
@@ -449,9 +505,9 @@ def _plan_steps_a_b(
     features.
 
     Source s sends owner o every index of each feature o holds a shard of,
-    so step a's bytes are 4 x (indices per source and feature) @ (shards per
-    feature and owner). A row shard looks up only the indices in its row
-    range; other shards look up every index of their feature.
+    so each shard adds its feature's indices per source to its owner's
+    column of step a's index counts. A row shard looks up only the indices
+    in its row range; other shards look up every index of their feature.
     """
     world = topo.world_size
     feats = batch.features
@@ -460,12 +516,12 @@ def _plan_steps_a_b(
     for f in feats:
         indices[:, column[f]] = batch.indices_per_rank(f)
     totals = indices.sum(axis=0)
-    held = np.zeros((len(feats), world), dtype=np.int64)
+    sent = np.zeros((world, world), dtype=np.int64)
     widths = np.zeros(world, dtype=np.int64)
     row_shards: dict[int, list[Shard]] = {}
     work = [0] * world
     for _, shard in _batch_shards(batch, placement):
-        held[column[shard.table_id], shard.rank] += 1
+        sent[:, shard.rank] += indices[:, column[shard.table_id]]
         if shard.table_id not in skip:
             widths[shard.rank] += shard.width
         if shard.scheme == ROW_WISE:
@@ -477,7 +533,7 @@ def _plan_steps_a_b(
         for shard, looked_up in zip(shards, counts):
             work[shard.rank] += looked_up * shard.width
     trace = CommTrace(topo)
-    _record(trace, "a", range(world), BYTES_PER_ELEMENT * indices @ held)
+    _record(trace, "a", range(world), BYTES_PER_ELEMENT * sent)
     return trace, float(max(work)), widths
 
 

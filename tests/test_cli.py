@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 import typing
 from pathlib import Path
@@ -116,21 +117,63 @@ def test_verify_catches_a_tower_module_salt_off_by_one(tmp_path, monkeypatch, ki
     assert verify_exit(tmp_path, {"tm": {"kind": kind, "out_dim": 2}}) == EXIT_MISMATCH
 
 
-def test_verify_catches_two_swapped_step_f_tower_blocks(tmp_path, capsys, monkeypatch):
-    # Two towers of two features each: equal block widths, so only the
-    # values tell the blocks apart.
+def step_f_delivering(monkeypatch, deliver):
+    """Wrap step f's all-to-alls: ``deliver(rank, tower, block)`` gives what
+    ``rank`` receives in ``tower``'s place. In each received list the
+    payload at position t is tower t's block; the other payloads are None."""
     all_to_all = exchange.all_to_all
 
-    def swapped(group, sends, label, trace):
+    def wrapped(group, sends, label, trace):
         received = all_to_all(group, sends, label, trace)
         if label == "f":
-            for blocks in received.values():
-                blocks[0], blocks[1] = blocks[1], blocks[0]
+            for rank, payloads in received.items():
+                for tower, block in enumerate(payloads):
+                    if block is not None:
+                        payloads[tower] = deliver(rank, tower, block)
         return received
 
-    monkeypatch.setattr(exchange, "all_to_all", swapped)
+    monkeypatch.setattr(exchange, "all_to_all", wrapped)
+
+
+@pytest.mark.parametrize("first, col", [("zeros", 0), ("its own block", 4)])
+def test_verify_catches_step_f_blocks_delivered_one_tower_late(
+        tmp_path, capsys, monkeypatch, first, col):
+    # Two towers of two features each: equal block widths, so only the
+    # values tell the blocks apart. Each rank receives tower 0's block in
+    # tower 1's place, and in tower 0's place either zeros or tower 0's
+    # block again, where the mismatch is at tower 1's first column.
+    last = {}
+
+    def one_late(rank, tower, block):
+        late = last.get(rank, np.zeros_like(block) if first == "zeros" else block)
+        last[rank] = block
+        return late
+
+    step_f_delivering(monkeypatch, one_late)
     assert verify_exit(tmp_path, {"tm": {"kind": "dcn", "out_dim": 2}}) == EXIT_MISMATCH
-    assert capsys.readouterr().out.startswith("result: MISMATCH at rank=0 row=0 col=0 ")
+    assert capsys.readouterr().out.startswith(f"result: MISMATCH at rank=0 row=0 col={col} ")
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    ({(0, 1): (0, 0), (1, 0): (0, 0)}, "rank=0 row=0 col=8"),
+    ({(1, 1): (0, 0), (1, 0): (1, 3)}, "rank=1 row=1 col=3"),
+])
+def test_verify_names_the_first_mismatch_in_rank_then_column_order(
+        tmp_path, capsys, monkeypatch, corrupt, named):
+    # Two towers of two 4-wide features, batch 2. corrupt maps (rank,
+    # tower) to the (row, column) of the step-f block that is off by one:
+    # a lower rank wins over a lower tower, and on one rank the lower tower
+    # wins over a lower row.
+    def corrupted(rank, tower, block):
+        if (rank, tower) not in corrupt:
+            return block
+        block = block.copy()
+        block[corrupt[rank, tower]] += 1.0
+        return block
+
+    step_f_delivering(monkeypatch, corrupted)
+    assert verify_exit(tmp_path, {}) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith(f"result: MISMATCH at {named} ")
 
 
 def test_verify_rerun_is_byte_identical(tmp_path):
@@ -852,18 +895,23 @@ def test_compare_exact_reports_first_difference(monkeypatch, tmp_path):
 
     ctx = RunContext(load_config())
     tower = ctx.run_tower()
-    assert compare_exact(ctx, tower) is None
+    assert compare_exact(ctx, tower.outputs, tower.blocks) is None
     corrupted = _copy.deepcopy(tower)
     corrupted.outputs[1][0, 2] += 1.0
-    rank, row, col, a, b = compare_exact(ctx, corrupted)
+    rank, row, col, a, b = compare_exact(ctx, corrupted.outputs, corrupted.blocks)
     assert (rank, row, col) == (1, 0, 2)
     assert b == a + 1.0
     # A mis-sized block is reported with the element counts, not raised.
     narrow = _copy.deepcopy(tower)
     narrow.outputs[2] = narrow.outputs[2][:, :-1]
-    assert compare_exact(ctx, narrow) == (2, -1, 12, 8.0, 6.0)
-    # Drive the verify command onto its mismatch path.
-    monkeypatch.setattr(RunContext, "run_tower", lambda self: corrupted)
+    assert compare_exact(ctx, narrow.outputs, narrow.blocks) == (2, -1, 12, 8.0, 6.0)
+    # Drive the verify command onto its mismatch path: the run hands its
+    # consumer every column at once, as one tower that holds them all.
+    def corrupted_run(self, consume):
+        consume(0, corrupted.blocks, corrupted.outputs)
+        return dataclasses.replace(corrupted, outputs={})
+
+    monkeypatch.setattr(RunContext, "run_tower", corrupted_run)
     code = run_verify(load_config(), tmp_path / "bad")
     assert code == EXIT_MISMATCH
     report = (tmp_path / "bad" / "report.txt").read_text()
@@ -876,11 +924,11 @@ def test_compare_exact_reports_baseline_columns_under_strided_towers():
     ctx = RunContext(load_config(overrides={"layout": {"assignment": "strided"}}))
     tower = ctx.run_tower()
     assert [ident for _, ident, _ in tower.blocks] == [0, 2, 1, 3]
-    assert compare_exact(ctx, tower) is None
+    assert compare_exact(ctx, tower.outputs, tower.blocks) is None
     # Column 4 is feature 2's first column: the mismatch names the column of
     # the run's own layout (layout.txt), not feature 2's baseline column 8.
     tower.outputs[1][0, 4] += 1.0
-    rank, row, col, a, b = compare_exact(ctx, tower)
+    rank, row, col, a, b = compare_exact(ctx, tower.outputs, tower.blocks)
     assert (rank, row, col) == (1, 0, 4)
     assert b == a + 1.0
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from towersim import exchange
 from towersim.cli import (
     RunContext,
+    checked_tower_run,
     compare_exact,
     equivalence_check,
     load_config,
@@ -383,18 +384,27 @@ def test_verify_holds_one_pipeline_of_outputs():
         tower_peak = tracemalloc.get_traced_memory()[1] - live
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        mismatch = compare_exact(ctx, tower)
+        mismatch = compare_exact(ctx, tower.outputs, tower.blocks)
         compare_peak = tracemalloc.get_traced_memory()[1] - live
+        # Lone pieces are passed on uncopied, so no output may be a view
+        # into a lookup buffer.
+        uncopied = all(out.base is None for out in tower.outputs.values())
+        del tower
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        checked, checked_mismatch = checked_tower_run(ctx)
+        checked_peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    assert mismatch is None
+    assert mismatch is None and checked_mismatch is None and checked.outputs == {}
     # The tower run holds its outputs plus one tower's working set, and the
     # comparison one reference block at a time.
     assert tower_peak <= 2.0 * output_bytes
     assert compare_peak < 2 * output_bytes / ctx.topo.world_size
-    # Lone pieces are passed on uncopied, so no output may be a view into a
-    # lookup buffer.
-    assert all(out.base is None for out in tower.outputs.values())
+    # verify's own run holds one tower's working set: about three copies of
+    # that tower's outputs, in steps b, d and e.
+    assert checked_peak < 3 * output_bytes / ctx.layout.num_towers
+    assert uncopied
 
 
 def test_baseline_run_equals_the_reference_on_random_configs():
@@ -407,7 +417,7 @@ def test_baseline_run_equals_the_reference_on_random_configs():
         ctx = RunContext(cfg)
         base = baseline_exchange(ctx.batch, ctx.placement, ctx.topo)
         assert all(kind == "feature" for kind, _, _ in base.blocks)
-        assert compare_exact(ctx, base) is None, cfg
+        assert compare_exact(ctx, base.outputs, base.blocks) is None, cfg
 
 
 def assert_same_collectives(ran, planned):

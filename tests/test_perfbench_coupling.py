@@ -113,3 +113,17 @@ def test_benchmark_cost_builds_no_table_values(workload, monkeypatch):
     cli.cost_one(load_config(overrides=config))
     assert len(made) == config["tables"]["count"]
     assert not [t.table_id for t in made if "values" in vars(t)]  # none built
+
+
+def test_traced_verify_sees_the_tower_run(workload, tmp_path):
+    # The benchmark times and counts verify through the names it wraps: one
+    # tower run whose trace it counts, and the comparisons inside it.
+    runner = workload.Runner("verify-w64-singlehot", 1, True, tmp_path)
+    record = runner.execute("traced")
+    assert record["problems"] == []
+    counted = runner.tracer.observed[0]["bytes"]
+    for step in ("a", "d", "f"):
+        total = sum(counted[f"simnet.bytes.tower.{step}.{link}"] for link in ("intra", "cross"))
+        assert total > 0, step
+    assert record["layers"]["exchange.tower_exchange.calls"] == 1
+    assert record["layers"]["cli.compare_exact.calls"] >= 1
