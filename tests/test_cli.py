@@ -135,7 +135,7 @@ def step_f_delivering(monkeypatch, deliver):
     monkeypatch.setattr(exchange, "all_to_all", wrapped)
 
 
-@pytest.mark.parametrize("first, col", [("zeros", 0), ("its own block", 4)])
+@pytest.mark.parametrize("first, col", [("zeros", 0), ("repeat", 4)])
 def test_verify_catches_step_f_blocks_delivered_one_tower_late(
         tmp_path, capsys, monkeypatch, first, col):
     # Two towers of two features each: equal block widths, so only the
@@ -157,7 +157,7 @@ def test_verify_catches_step_f_blocks_delivered_one_tower_late(
 @pytest.mark.parametrize("corrupt, named", [
     ({(0, 1): (0, 0), (1, 0): (0, 0)}, "rank=0 row=0 col=8"),
     ({(1, 1): (0, 0), (1, 0): (1, 3)}, "rank=1 row=1 col=3"),
-])
+], ids=["two-ranks", "one-rank"])
 def test_verify_names_the_first_mismatch_in_rank_then_column_order(
         tmp_path, capsys, monkeypatch, corrupt, named):
     # Two towers of two 4-wide features, batch 2. corrupt maps (rank,
