@@ -910,6 +910,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
+        except MemoryError:
+            print(f"error: out of memory while running {args.command}", file=sys.stderr)
+            return EXIT_ERROR
         except Exception as exc:  # keep the CLI contract: nonzero, named error
             print(f"unexpected error: {exc!r}", file=sys.stderr)
             return EXIT_ERROR

@@ -16,9 +16,10 @@ tower pipeline reads; the TowerLayout says which hosts form each tower.
 
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
 contribute flops only. After step a the tower pipeline runs one tower at a
-time, steps b to f, and releases each buffer once the next step has consumed
-it. Each tower's output columns go to a consumer as step f delivers them, so
-a run that checks and drops them (verify) holds one tower in flight, not the
+time, steps b to f, and one owner at a time inside a tower until step d's
+collectives, which are the first to join an owner's shards to another's.
+Each tower's output columns go to a consumer as step f delivers them, so a
+run that checks and drops them (verify) holds one tower in flight, not the
 world's outputs. Step f's deliveries add up to one collective per peer
 class, traced after the last tower, as the plan has it.
 
@@ -235,35 +236,24 @@ def _distribute(
 def _lookup(
     batch: SparseBatch,
     placement: ShardedEmbedding,
-    by_owner: dict[int, list[tuple]],
-    received: dict[int, list[list]],
-    owners: Sequence[int],
-    dest_seq: Sequence[int],
-    lookup_flops: dict[int, float],
-) -> dict[int, dict[int, list[np.ndarray]]]:
-    """Step b for ``owners``, releasing their step-a payloads.
-
-    blocks[owner][shard id] is a list of (batch, width) arrays, one per
-    destination in ``dest_seq`` order: each owner looks a shard up once,
-    over the bags of every source in that order, and adds the work to
-    ``lookup_flops[owner]``.
+    shards: list[tuple],
+    from_sources: list[list],
+    source_seq: Sequence[int],
+) -> tuple[dict[int, list[np.ndarray]], float]:
+    """Step b for one owner: (blocks, flops) of its (shard id, shard) pairs
+    ``shards``, each looked up once over the bags that ``from_sources``, its
+    step-a payloads, hold from every source in ``source_seq`` order.
+    blocks[shard id] lists one (batch, width) array per source, in that order.
     """
-    blocks: dict[int, dict[int, list[np.ndarray]]] = {}
     size = batch.local_batch
-    for owner in owners:
+    blocks, work = {}, 0.0
+    for k, (sid, shard) in enumerate(shards):
         # Every source sends the owner's shards in the same order.
-        from_sources = received.pop(owner)
-        per_source = [[tagged.data for tagged in from_sources[src]] for src in dest_seq]
-        per_shard: dict[int, list[np.ndarray]] = {}
-        for k, (sid, shard) in enumerate(by_owner[owner]):
-            parts = [bundle[k] for bundle in per_source]
-            mat, flops = _shard_lookup(
-                placement, shard, Bags.concat(parts), batch.pooling[shard.table_id]
-            )
-            per_shard[sid] = [mat[i * size:(i + 1) * size] for i in range(len(dest_seq))]
-            lookup_flops[owner] += flops
-        blocks[owner] = per_shard
-    return blocks
+        bags = Bags.concat([from_sources[src][k].data for src in source_seq])
+        mat, flops = _shard_lookup(placement, shard, bags, batch.pooling[shard.table_id])
+        blocks[sid] = [mat[i * size:(i + 1) * size] for i in range(len(source_seq))]
+        work += flops
+    return blocks, work
 
 
 def _assemble(bundles, placement: ShardedEmbedding) -> dict[int, np.ndarray]:
@@ -293,23 +283,19 @@ def baseline_exchange(
     trace = CommTrace(topo)
     world = list(range(topo.world_size))
     by_owner, received = _distribute(batch, placement, topo, trace)
-    lookup_flops = dict.fromkeys(world, 0.0)
-    blocks = _lookup(batch, placement, by_owner, received, world, world, lookup_flops)
-
-    sends = {
-        owner: [
-            [Tagged(sid, mats[dest]) for sid, mats in blocks[owner].items()]
-            for dest in world
-        ]
-        for owner in world
-    }
+    sends, work = {}, []
+    for owner in world:
+        blocks, flops = _lookup(batch, placement, by_owner[owner], received.pop(owner), world)
+        sends[owner] = [[Tagged(sid, mats[dest]) for sid, mats in blocks.items()]
+                        for dest in world]
+        work.append(flops)
     received = all_to_all(world, sends, "c", trace)
 
     outputs = {}
     for rank in world:
         assembled = _assemble(received[rank], placement)
         outputs[rank] = np.concatenate([assembled[f] for f in batch.features], axis=1)
-    flops = {"b": max(lookup_flops.values())}
+    flops = {"b": max(work)}
     return check_plan("baseline", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
 
@@ -328,22 +314,21 @@ def tower_exchange(
     """Topology-aware pipeline over disjoint towers; see the module docstring.
 
     Output columns group features by tower (towers ascending, features by id
-    inside each tower), as the blocks say; realign() maps them back to
-    feature-id order. Each tower's columns go to ``consume(col, blocks,
+    inside each tower), as the plan's blocks say; realign() maps them back
+    to feature-id order. Each tower's columns go to ``consume(col, blocks,
     chunks)`` as step f delivers them: the tower's first output column, its
     blocks, and each rank's (batch, width) block. With a consumer the result
     holds no outputs; without one its outputs are each rank's chunks side by
-    side, and the run holds them plus one tower in flight. ``batch`` must be
-    validated, as for baseline_exchange. Starts from tower_plan, returns its
-    blocks and step-e flops, and is checked against it as baseline_exchange is.
+    side. ``batch`` must be validated, as for baseline_exchange. Starts from
+    tower_plan, returns its blocks and step-e flops, and is checked against
+    it as baseline_exchange is.
     """
     planned = tower_plan(batch, placement, layout, topo, opts)
-    width = layout.group_width(topo)
     num_towers = layout.num_towers
     world = range(topo.world_size)
     trace = CommTrace(topo)
     batch_size = batch.local_batch
-    members = [class_members(cls, topo, layout) for cls in range(width)]
+    members = [class_members(cls, topo, layout) for cls in range(layout.group_width(topo))]
 
     outputs: dict[int, np.ndarray] = {}
     if consume is None:
@@ -358,78 +343,64 @@ def tower_exchange(
     # then class-1, ... Chunk c of size num_towers is exactly peer class c.
     dest_seq = class_order(topo, layout)
     by_owner, received = _distribute(batch, placement, topo, trace)
-    lookup_flops = dict.fromkeys(world, 0.0)
     # swap_bc permutes the (smaller) index payloads before lookup, so blocks
     # come out already in class order.
     lookup_seq = dest_seq if opts.swap_bc else world
     permute = not opts.swap_bc and not opts.omit_permute
-    # position[dest] indexes dest's block in blocks[owner][sid]. omit_permute
+    # position[dest] indexes dest's block in a shard's blocks. omit_permute
     # alone leaves blocks in rank order, and step d gathers through this
     # virtual ordering instead of a materialized permute.
     order = world if opts.omit_permute and not opts.swap_bc else dest_seq
     position = {rank: i for i, rank in enumerate(order)}
-
-    def stacked(owner: int, sid: int, cls: int) -> np.ndarray:
-        return np.concatenate(
-            [blocks[owner][sid][position[p]] for p in members[cls]], axis=0
-        )
-
     rs_shards = _reduce_scattered(batch, placement, opts)
-
-    def partials(sids: list[int]) -> dict[int, list[np.ndarray]]:
-        """Per-owner, per-class partials; an owner holding several row
-        shards pre-sums them in shard order."""
-        out: dict[int, list[np.ndarray]] = {}
-        for sid in sids:
-            owner = placement.shards[sid].rank
-            pieces = [stacked(owner, sid, cls) for cls in range(width)]
-            if owner in out:
-                pieces = [acc + piece for acc, piece in zip(out[owner], pieces)]
-            out[owner] = pieces
-        return out
 
     cfg = opts.tower_modules
     # Step f of each class, summed over the towers' deliveries: row t holds
     # what tower t's member sent, and the other members are silent.
-    silent = [None] * num_towers
     f_bytes = [np.zeros((num_towers, num_towers), dtype=np.int64) for _ in members]
     delivery = CommTrace(topo)
-    col = first_block = 0
+    work, col = [], 0
     for tower, feats in enumerate(tower_features(batch, placement, layout, topo)):
         group = layout.tower_ranks(tower, topo)
 
-        # Step b: the tower's owners look its shards up for every destination.
-        blocks = _lookup(batch, placement, by_owner, received, group, lookup_seq, lookup_flops)
-        if permute:
-            blocks = {
-                owner: {sid: [mats[p] for p in dest_seq] for sid, mats in per_shard.items()}
-                for owner, per_shard in blocks.items()
-            }
+        # Steps b to d, owner by owner: look the owner's shards up (b), put
+        # each shard's blocks in class order (c) and stack them per class,
+        # into a step-d bundle or, reduce-scattered, the feature's contribution.
+        sends, lookups = {}, []
+        contributions = {feat: {} for feat in feats if feat in rs_shards}
+        for owner in group:
+            blocks, flops = _lookup(
+                batch, placement, by_owner[owner], received.pop(owner), lookup_seq
+            )
+            work.append(flops)
+            # Kept until step d's all-to-all: freed owner by owner, the
+            # lookups doubled the minor page faults at world 512.
+            lookups.append(blocks)
+            sends[owner] = bundles = [[] for _ in members]
+            for sid, mats in blocks.items():
+                if permute:
+                    mats = [mats[p] for p in dest_seq]
+                stacks = [np.concatenate([mats[position[p]] for p in ranks])
+                          for ranks in members]
+                partial = contributions.get(placement.shards[sid].table_id)
+                if partial is None:
+                    for bundle, stack in zip(bundles, stacks):
+                        bundle.append(Tagged(sid, stack))
+                else:  # an owner's row shards pre-sum in shard order
+                    held = partial.get(owner)
+                    partial[owner] = stacks if held is None else list(map(np.add, held, stacks))
 
-        # Step d: one collective per tower assembling full-width embeddings
-        # for each destination class on that class's local rank. Each
-        # member's bundles are dropped once assembled, so no payload
-        # outlives its tower.
-        sends = {
-            owner: [
-                [
-                    Tagged(sid, stacked(owner, sid, cls))
-                    for sid in blocks[owner]
-                    if placement.shards[sid].table_id not in rs_shards
-                ]
-                for cls in range(width)
-            ]
-            for owner in group
-        }
+        # Step d: one all-to-all per tower assembling full-width embeddings
+        # for each destination class on that class's local rank, then one
+        # reduce-scatter per reduce-scattered feature.
         received_d = all_to_all(group, sends, "d", trace)
-        del sends
+        del sends, lookups
         assembled = {m: _assemble(received_d.pop(m), placement) for m in group}
-        for feat in feats:
-            if feat in rs_shards:
-                summed = reduce_scatter(group, partials(rs_shards[feat]), "d", trace)
-                for member in group:
-                    assembled[member][feat] = summed[member]
-        del blocks
+        for feat, partial in contributions.items():
+            summed = reduce_scatter(group, partial, "d", trace)
+            for member in group:
+                assembled[member][feat] = summed[member]
+        del contributions
 
         # Step e: regroup from (feature, destination) to (destination,
         # feature) and apply the tower module per destination block. The
@@ -437,9 +408,8 @@ def tower_exchange(
         if cfg is not None:
             in_dim = placement.tables[feats[0]].dim if feats else 1
             weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
-        dest_blocks: dict[int, list[np.ndarray]] = {}
-        for rank in group:
-            per_dest = []
+        dest_blocks: dict[int, list[np.ndarray]] = {rank: [] for rank in group}
+        for rank, per_dest in dest_blocks.items():
             for j in range(num_towers):
                 rows = slice(j * batch_size, (j + 1) * batch_size)
                 mats = [assembled[rank][f][rows] for f in feats]
@@ -450,29 +420,28 @@ def tower_exchange(
                 else:
                     embs = np.stack(mats, axis=1) if mats else np.zeros((batch_size, 0, 1))
                     per_dest.append(tm_forward(embs, cfg, weights))
-            dest_blocks[rank] = per_dest
         del assembled
 
         # Step f: in each class, the tower's member (its local rank cls)
         # sends every member its block, which arrives at the tower's position.
         chunks: dict[int, np.ndarray] = {}
         for cls, sender in enumerate(group):
-            sends = dict.fromkeys(members[cls], silent)
+            sends = dict.fromkeys(members[cls], [None] * num_towers)
             sends[sender] = dest_blocks.pop(sender)
             for member, payloads in all_to_all(members[cls], sends, "f", delivery).items():
                 chunks[member] = payloads[tower]
             f_bytes[cls] += delivery.collectives.pop().nbytes
-        count = len(feats) if cfg is None else 1
-        tower_blocks = planned.blocks[first_block:first_block + count]
+        # The plan's blocks of this tower: its features', or its module's.
+        idents = feats if cfg is None else [tower]
+        tower_blocks = tuple(block for block in planned.blocks if block[1] in idents)
         consume(col, tower_blocks, chunks)
         del chunks
-        first_block += count
         col += sum(w for _, _, w in tower_blocks)
 
     # Step f's concurrent per-class all-to-alls, world size = tower count.
     for cls, group in enumerate(members):
         _record(trace, "f", group, f_bytes[cls])
-    flops = {"b": max(lookup_flops.values()), "e": planned.flops["e"]}
+    flops = {"b": max(work), "e": planned.flops["e"]}
     return check_plan("tower", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
 

@@ -1032,6 +1032,16 @@ def test_exit_code_table_covers_every_error_class(tmp_path, monkeypatch, capsys)
         assert EXIT_CODES[getattr(errors, name)][0] == EXIT_CONFIG, name
 
 
+def test_out_of_memory_is_a_named_error(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.6 GiB")
+
+    monkeypatch.setattr(cli, "make_batch", exhausted)
+    for command in ("verify", "cost"):
+        assert main(["--out", str(tmp_path), command]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: out of memory while running {command}\n"
+
+
 def test_plan_mismatch_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # A functional run whose trace leaves its plan exits 1, naming the
     # pipeline, the collective and its label.
