@@ -14,6 +14,11 @@ concurrent per-class all-to-alls whose world size is the tower count
 (tower_features), so the placement is the only feature -> tower map the
 tower pipeline reads; the TowerLayout says which hosts form each tower.
 
+Every message that carries shard pieces, step a's bags and the blocks of
+the baseline's step c and the tower's step d, is a {shard id: payload} dict
+keyed in placement order, so a receiver reads the shards it holds from the
+message itself; the ids are free metadata on the wire (payload_nbytes).
+
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
 contribute flops only. After step a the tower pipeline runs one tower at a
 time, steps b to f, and one owner at a time inside a tower until step d's
@@ -59,7 +64,6 @@ from .simnet import (
     REDUCE_SCATTER,
     Collective,
     CommTrace,
-    Tagged,
     all_to_all,
     reduce_scatter,
 )
@@ -205,18 +209,17 @@ def _reduce_scattered(
 
 def _distribute(
     batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology, trace: CommTrace
-) -> tuple[dict[int, list[tuple]], dict[int, list[list]]]:
+) -> dict[int, list[dict]]:
     """Step a, shared by both pipelines: every source sends each owner its
     bags of every shard the owner holds.
 
-    Returns (by_owner, received): by_owner[owner] lists the owner's (shard
-    id, shard) of the batch's features, and received[owner][src] holds one
-    Tagged(shard id, bags) per entry of by_owner[owner], in that order.
+    received[owner][src] is {shard id: bags} over the owner's shards of the
+    batch's features, keyed in placement order; an owner of none gets {}.
     """
     world = list(range(topo.world_size))
-    by_owner: dict[int, list[tuple]] = {o: [] for o in world}
+    held: dict[int, list[tuple]] = {o: [] for o in world}
     for sid, shard in _batch_shards(batch, placement):
-        by_owner[shard.rank].append((sid, shard))
+        held[shard.rank].append((sid, shard.table_id))
 
     feats = batch.features
     for f in feats:
@@ -226,30 +229,26 @@ def _distribute(
     sends = {}
     for src in world:
         views = {f: batch.rank_bags(src, f) for f in feats}
-        sends[src] = [
-            [Tagged(sid, views[s.table_id]) for sid, s in by_owner[owner]]
-            for owner in world
-        ]
-    return by_owner, all_to_all(world, sends, "a", trace)
+        sends[src] = [{sid: views[f] for sid, f in held[owner]} for owner in world]
+    return all_to_all(world, sends, "a", trace)
 
 
 def _lookup(
     batch: SparseBatch,
     placement: ShardedEmbedding,
-    shards: list[tuple],
-    from_sources: list[list],
+    from_sources: list[dict],
     source_seq: Sequence[int],
 ) -> tuple[dict[int, list[np.ndarray]], float]:
-    """Step b for one owner: (blocks, flops) of its (shard id, shard) pairs
-    ``shards``, each looked up once over the bags that ``from_sources``, its
-    step-a payloads, hold from every source in ``source_seq`` order.
+    """Step b for one owner: (blocks, flops) of the shards its step-a
+    messages ``from_sources`` name, in the messages' placement order, each
+    looked up once over the bags every source in ``source_seq`` sent for it.
     blocks[shard id] lists one (batch, width) array per source, in that order.
     """
     size = batch.local_batch
     blocks, work = {}, 0.0
-    for k, (sid, shard) in enumerate(shards):
-        # Every source sends the owner's shards in the same order.
-        bags = Bags.concat([from_sources[src][k].data for src in source_seq])
+    for sid in from_sources[0]:
+        shard = placement.shards[sid]
+        bags = Bags.concat([from_sources[src][sid] for src in source_seq])
         mat, flops = _shard_lookup(placement, shard, bags, batch.pooling[shard.table_id])
         blocks[sid] = [mat[i * size:(i + 1) * size] for i in range(len(source_seq))]
         work += flops
@@ -257,12 +256,12 @@ def _lookup(
 
 
 def _assemble(bundles, placement: ShardedEmbedding) -> dict[int, np.ndarray]:
-    """Features assembled from received bundles of Tagged(shard id, matrix)."""
+    """Features assembled from received bundles of {shard id: matrix}."""
     pieces: dict[int, list[tuple]] = {}
     for bundle in bundles:
-        for tagged in bundle:
-            shard = placement.shards[tagged.tag]
-            pieces.setdefault(shard.table_id, []).append((shard, tagged.data))
+        for sid, mat in bundle.items():
+            shard = placement.shards[sid]
+            pieces.setdefault(shard.table_id, []).append((shard, mat))
     return {feat: _combine_pieces(parts) for feat, parts in pieces.items()}
 
 
@@ -282,12 +281,11 @@ def baseline_exchange(
     planned = baseline_plan(batch, placement, topo)
     trace = CommTrace(topo)
     world = list(range(topo.world_size))
-    by_owner, received = _distribute(batch, placement, topo, trace)
+    received = _distribute(batch, placement, topo, trace)
     sends, work = {}, []
     for owner in world:
-        blocks, flops = _lookup(batch, placement, by_owner[owner], received.pop(owner), world)
-        sends[owner] = [[Tagged(sid, mats[dest]) for sid, mats in blocks.items()]
-                        for dest in world]
+        blocks, flops = _lookup(batch, placement, received.pop(owner), world)
+        sends[owner] = [{sid: mats[dest] for sid, mats in blocks.items()} for dest in world]
         work.append(flops)
     received = all_to_all(world, sends, "c", trace)
 
@@ -342,7 +340,7 @@ def tower_exchange(
     # Destination blocks in class order: all class-0 ranks (tower ascending),
     # then class-1, ... Chunk c of size num_towers is exactly peer class c.
     dest_seq = class_order(topo, layout)
-    by_owner, received = _distribute(batch, placement, topo, trace)
+    received = _distribute(batch, placement, topo, trace)
     # swap_bc permutes the (smaller) index payloads before lookup, so blocks
     # come out already in class order.
     lookup_seq = dest_seq if opts.swap_bc else world
@@ -369,14 +367,12 @@ def tower_exchange(
         sends, lookups = {}, []
         contributions = {feat: {} for feat in feats if feat in rs_shards}
         for owner in group:
-            blocks, flops = _lookup(
-                batch, placement, by_owner[owner], received.pop(owner), lookup_seq
-            )
+            blocks, flops = _lookup(batch, placement, received.pop(owner), lookup_seq)
             work.append(flops)
             # Kept until step d's all-to-all: freed owner by owner, the
             # lookups doubled the minor page faults at world 512.
             lookups.append(blocks)
-            sends[owner] = bundles = [[] for _ in members]
+            sends[owner] = bundles = [{} for _ in members]
             for sid, mats in blocks.items():
                 if permute:
                     mats = [mats[p] for p in dest_seq]
@@ -385,7 +381,7 @@ def tower_exchange(
                 partial = contributions.get(placement.shards[sid].table_id)
                 if partial is None:
                     for bundle, stack in zip(bundles, stacks):
-                        bundle.append(Tagged(sid, stack))
+                        bundle[sid] = stack
                 else:  # an owner's row shards pre-sum in shard order
                     held = partial.get(owner)
                     partial[owner] = stacks if held is None else list(map(np.add, held, stacks))

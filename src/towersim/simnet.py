@@ -21,31 +21,25 @@ from .topology import CROSS_HOST, INTRA_HOST, ClusterTopology, link_classes
 BYTES_PER_ELEMENT = 4
 
 
-class Tagged(NamedTuple):
-    """A payload with free metadata; only ``data`` counts toward wire bytes."""
-
-    tag: object
-    data: object
-
-
 def payload_nbytes(payload) -> int:
     """Wire size of a payload: 4 bytes per array element or index.
 
     Accepts arrays, index bags (their lengths are free metadata), (nested)
-    lists/tuples of those, Tagged wrappers (tag is metadata, free), and None
-    (empty).
+    lists/tuples and dicts of those, and None (empty). A dict is sized by
+    its values: its keys, such as the shard ids that name the pieces of an
+    exchange message, are metadata and free, as a list's structure is.
     """
     if payload is None:
         return 0
-    if isinstance(payload, Tagged):
-        return payload_nbytes(payload.data)
     if isinstance(payload, np.ndarray):
         return int(payload.size) * BYTES_PER_ELEMENT
     if isinstance(payload, Bags):
         return int(payload.values.size) * BYTES_PER_ELEMENT
-    if isinstance(payload, (list, tuple)):
-        return sum(payload_nbytes(item) for item in payload)
-    raise ProtocolError(f"cannot size payload of type {type(payload).__name__}")
+    if isinstance(payload, dict):
+        payload = payload.values()
+    elif not isinstance(payload, (list, tuple)):
+        raise ProtocolError(f"cannot size payload of type {type(payload).__name__}")
+    return sum(payload_nbytes(item) for item in payload)
 
 
 ALL_TO_ALL = "all_to_all"
