@@ -6,8 +6,8 @@ flags override the top-level keys. Everything is deterministic given the
 config, so re-running a command rewrites its outputs byte for byte.
 
 Exit codes: 0 success, 2 config validation, 3 equivalence mismatch,
-4 numeric failure, 5 I/O or ingestion failure, 1 anything else. EXIT_CODES
-maps each package error class onto one of them.
+4 numeric failure, 5 I/O or ingestion failure, 1 anything else. Each
+package error class states its own (errors.py).
 """
 
 from __future__ import annotations
@@ -36,51 +36,22 @@ from .embedding import (
     make_batch,
     shard_tables,
 )
-from .errors import (
+from .errors import (  # the EXIT_* codes are the CLI's, re-exported here
+    EXIT_CONFIG,
+    EXIT_ERROR,
+    EXIT_IO,
+    EXIT_MISMATCH,
+    EXIT_NUMERIC,
+    EXIT_OK,
     ConfigError,
-    ConstraintError,
     DomainError,
     IngestionError,
-    InvariantError,
-    LayoutError,
-    NumericError,
-    PlanError,
-    ProtocolError,
-    ReportError,
-    ShapeError,
-    TableLookupError,
     TowersimError,
     check_minimums,
 )
 from .simnet import CommTrace
 from .topology import ClusterTopology, TowerLayout
 from .towermod import TMConfig
-
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_CONFIG = 2
-EXIT_MISMATCH = 3
-EXIT_NUMERIC = 4
-EXIT_IO = 5
-
-# (exit code, stderr prefix) of every package error class. Input-constraint
-# errors exit as config errors; internal-invariant errors mean a defect in
-# towersim, not in its input, and exit 1.
-EXIT_CODES: dict[type, tuple[int, str]] = {
-    ConfigError: (EXIT_CONFIG, "config error"),
-    DomainError: (EXIT_CONFIG, "error"),
-    PlanError: (EXIT_CONFIG, "error"),
-    ConstraintError: (EXIT_CONFIG, "error"),
-    IngestionError: (EXIT_IO, "i/o error"),
-    NumericError: (EXIT_NUMERIC, "numeric error"),
-    InvariantError: (EXIT_ERROR, "error"),
-    LayoutError: (EXIT_ERROR, "error"),
-    ShapeError: (EXIT_ERROR, "error"),
-    ProtocolError: (EXIT_ERROR, "error"),
-    TableLookupError: (EXIT_ERROR, "error"),
-    ReportError: (EXIT_ERROR, "error"),
-    TowersimError: (EXIT_ERROR, "error"),  # a class added without a row
-}
 
 
 def _defaults(cls, names: Iterable[str], **derived) -> dict:
@@ -614,7 +585,9 @@ def run_random_sweep(count: int, seed: int) -> tuple[int, int, list[str]]:
 
 
 def read_embeddings(path: str) -> np.ndarray:
-    """Feature embeddings from CSV (optional header) or raw f32 + sidecar."""
+    """Feature embeddings from CSV (optional header: a first line with no
+    number) or raw f32 + sidecar; a row with a NaN or an infinity, or of zero
+    norm, is an IngestionError naming the file and line (raw input: row)."""
     p = Path(path)
     if not p.exists():
         raise IngestionError(f"{path}: no such file")
@@ -629,7 +602,7 @@ def read_embeddings(path: str) -> np.ndarray:
                 try:
                     rows.append([float(x) for x in parts])
                 except ValueError:
-                    if lineno == 1:
+                    if lineno == 1 and not any(map(_is_number, parts)):
                         continue  # header
                     raise IngestionError(f"{path}:{lineno}: not numeric") from None
                 linenos.append(lineno)
@@ -640,9 +613,10 @@ def read_embeddings(path: str) -> np.ndarray:
             if len(row) != width:
                 raise IngestionError(f"{path}:{lineno}: {len(row)} columns, expected {width}")
         data = np.array(rows, dtype=np.float64)
-        bad = _nonfinite_row(data)
+        bad = _bad_row(data)
         if bad is not None:
-            raise IngestionError(f"{path}:{linenos[bad]}: non-finite value")
+            what = "zero norm" if np.isfinite(data[bad]).all() else "non-finite value"
+            raise IngestionError(f"{path}:{linenos[bad]}: {what}")
         return data
     meta = Path(str(p) + ".meta")
     if not meta.exists():
@@ -657,15 +631,25 @@ def read_embeddings(path: str) -> np.ndarray:
     if size != 4 * rows * cols:
         raise IngestionError(f"{path}: has {size} bytes, expected {rows * cols} floats of 4 bytes")
     data = np.fromfile(p, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    bad = _nonfinite_row(data)
+    bad = _bad_row(data)
     if bad is not None:
-        raise IngestionError(f"{path}: row {bad + 1} has a non-finite value")
+        what = "zero norm" if np.isfinite(data[bad]).all() else "a non-finite value"
+        raise IngestionError(f"{path}: row {bad + 1} has {what}")
     return data
 
 
-def _nonfinite_row(data: np.ndarray) -> Optional[int]:
-    """Index of the first row holding a NaN or an infinity, or None."""
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_row(data: np.ndarray) -> Optional[int]:
+    """Index of the first row holding a NaN or an infinity, or of zero norm
+    (which the partitioner cannot normalise), or None."""
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | (np.linalg.norm(data, axis=1) == 0))
     return int(bad[0]) if bad.size else None
 
 
@@ -702,6 +686,8 @@ def run_partition(cfg: dict, embeddings_path: str, out_dir: Path) -> int:
     p = cfg["partitioner"]
     num_towers, embed_dims = p["num_towers"], p["embed_dims"]
     features = read_embeddings(embeddings_path)
+    if features.shape[0] < 2:
+        raise IngestionError(f"{embeddings_path}: one feature; partition needs at least 2")
     _require(features.shape[0] >= num_towers, "partitioner.num_towers",
              f"only {features.shape[0]} features for {num_towers} towers")
     if embed_dims >= features.shape[1]:
@@ -902,11 +888,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return run_cost(cfg, sweeps, out_dir)
             raise ConfigError(f"unknown command {args.command!r}")
         except TowersimError as exc:
-            code, prefix = next(
-                EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES
-            )
-            print(f"{prefix}: {exc}", file=sys.stderr)
-            return code
+            print(f"{exc.prefix}: {exc}", file=sys.stderr)
+            return exc.exit_code
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO

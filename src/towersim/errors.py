@@ -1,21 +1,30 @@
-"""Exception hierarchy shared across the package, and the one field-minimum check.
-
-cli.main maps each of these onto a process exit code through cli.EXIT_CODES:
-input-constraint errors exit as config errors, internal-invariant errors
-exit 1.
+"""Exception hierarchy shared across the package, the CLI's exit codes, and
+the one field-minimum check. Each class states the exit code and stderr
+prefix with which cli.main reports it: input-constraint errors exit as
+config errors, the rest as the base class does.
 """
+
+EXIT_OK = 0
+EXIT_ERROR = 1
+EXIT_CONFIG = 2
+EXIT_MISMATCH = 3
+EXIT_NUMERIC = 4
+EXIT_IO = 5
 
 
 class TowersimError(Exception):
     """Base class for all package errors."""
+    exit_code, prefix = EXIT_ERROR, "error"
 
 
 class DomainError(TowersimError, ValueError):
     """An argument is outside its documented domain (bad rank, bad range, ...)."""
+    exit_code = EXIT_CONFIG
 
 
 class ConfigError(TowersimError, ValueError):
     """A run configuration failed cross-validation; message carries the field path."""
+    exit_code, prefix = EXIT_CONFIG, "config error"
 
 
 class ProtocolError(TowersimError, RuntimeError):
@@ -28,6 +37,7 @@ class ShapeError(TowersimError, ValueError):
 
 class PlanError(TowersimError, ValueError):
     """Feature/tower/shard placement is inconsistent."""
+    exit_code = EXIT_CONFIG
 
 
 class LayoutError(TowersimError, ValueError):
@@ -40,14 +50,17 @@ class TableLookupError(TowersimError, ValueError):
 
 class ConstraintError(TowersimError, ValueError):
     """A balance/capacity constraint is infeasible."""
+    exit_code = EXIT_CONFIG
 
 
 class NumericError(TowersimError, ArithmeticError):
     """An iterative solver produced non-finite values."""
+    exit_code, prefix = EXIT_NUMERIC, "numeric error"
 
 
 class IngestionError(TowersimError, ValueError):
     """An input file could not be parsed; message names file and position."""
+    exit_code, prefix = EXIT_IO, "i/o error"
 
 
 class ReportError(TowersimError, ValueError):

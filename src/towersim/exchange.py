@@ -14,19 +14,17 @@ concurrent per-class all-to-alls whose world size is the tower count
 (tower_features), so the placement is the only feature -> tower map the
 tower pipeline reads; the TowerLayout says which hosts form each tower.
 
-Every message that carries shard pieces, step a's bags and the blocks of
-the baseline's step c and the tower's step d, is a {shard id: payload} dict
-keyed in placement order, so a receiver reads the shards it holds from the
-message itself; the ids are free metadata on the wire (payload_nbytes).
-
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
-contribute flops only. After step a the tower pipeline runs one tower at a
-time, steps b to f, and one owner at a time inside a tower until step d's
-collectives, which are the first to join an owner's shards to another's.
-Each tower's output columns go to a consumer as step f delivers them, so a
-run that checks and drops them (verify) holds one tower in flight, not the
-world's outputs. Step f's deliveries add up to one collective per peer
-class, traced after the last tower, as the plan has it.
+contribute flops only. A message of shard pieces (step a's bags, step c's
+and d's blocks) is a {shard id: payload} dict in placement order, so a
+receiver reads the shards it holds from it; ids travel free (payload_nbytes).
+After step a the tower pipeline runs one tower at a time, steps b to f,
+and one owner at a time inside a tower until step d's collectives, which
+are the first to join an owner's shards to another's. Each tower's output
+columns go to a consumer as step f delivers them, so a run that checks and
+drops them (verify) holds one tower in flight, not the world's outputs.
+Step f's deliveries add up to one collective per peer class, traced after
+the last tower, as the plan has it.
 
 Every byte count is a function of shapes alone: bag sizes, shard placement,
 table widths and tower-module output widths. baseline_plan and tower_plan
@@ -210,12 +208,9 @@ def _reduce_scattered(
 def _distribute(
     batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology, trace: CommTrace
 ) -> dict[int, list[dict]]:
-    """Step a, shared by both pipelines: every source sends each owner its
-    bags of every shard the owner holds.
-
-    received[owner][src] is {shard id: bags} over the owner's shards of the
-    batch's features, keyed in placement order; an owner of none gets {}.
-    """
+    """Step a, shared by both pipelines: received[owner][src] is {shard id:
+    bags}, src's bags of every shard of a batch feature that owner holds, in
+    placement order; {} for an owner of none."""
     world = list(range(topo.world_size))
     held: dict[int, list[tuple]] = {o: [] for o in world}
     for sid, shard in _batch_shards(batch, placement):

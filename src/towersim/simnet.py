@@ -25,9 +25,8 @@ def payload_nbytes(payload) -> int:
     """Wire size of a payload: 4 bytes per array element or index.
 
     Accepts arrays, index bags (their lengths are free metadata), (nested)
-    lists/tuples and dicts of those, and None (empty). A dict is sized by
-    its values: its keys, such as the shard ids that name the pieces of an
-    exchange message, are metadata and free, as a list's structure is.
+    lists, tuples and dicts of those (a dict's keys, like the shard ids that
+    name an exchange message's pieces, are free), and None (empty).
     """
     if payload is None:
         return 0

@@ -10,7 +10,6 @@ import yaml
 
 from towersim import cli, errors, exchange
 from towersim.cli import (
-    EXIT_CODES,
     EXIT_CONFIG,
     EXIT_ERROR,
     EXIT_IO,
@@ -747,6 +746,19 @@ def test_ingestion_errors(tmp_path, capsys):
         (tmp_path / "x.f32.meta").write_text(sidecar)
         code = main(["--config", str(cfg), "partition", "--embeddings", str(raw)])
         assert (code, capsys.readouterr().err) == (EXIT_IO, f"i/o error: {message}\n")
+    # A first line with a number in it is data, not a header; a feature row
+    # of zeros has no direction to normalise; partition needs two features.
+    mixed, zero, single = (tmp_path / name for name in ("mixed.csv", "zero.csv", "one.csv"))
+    mixed.write_text("1.0,2x\n3,4\n5,6\n")
+    zero.write_text("a,b\n1,2\n\n0,0.0\n3,4\n")
+    single.write_text("f0,f1\n1,2\n")
+    np.array([1, 2, 0, 0, 3, 4], dtype="<f4").tofile(raw)
+    (tmp_path / "x.f32.meta").write_text("3 2")
+    for path, message in ((mixed, f"{mixed}:1: not numeric"), (zero, f"{zero}:4: zero norm"),
+                          (raw, f"{raw}: row 2 has zero norm"),
+                          (single, f"{single}: one feature; partition needs at least 2")):
+        code = main(["--config", str(cfg), "partition", "--embeddings", str(path)])
+        assert (code, capsys.readouterr().err) == (EXIT_IO, f"i/o error: {message}\n")
 
 
 def test_config_key_given_twice_is_config_error(tmp_path, capsys):
@@ -1013,23 +1025,24 @@ def test_cost_outputs_golden(tmp_path, kind):
 def test_exit_code_table_covers_every_error_class(tmp_path, monkeypatch, capsys):
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.TowersimError)]
-    assert set(classes) == set(EXIT_CODES)
+    # Every class prints its own prefix; all but these print "error".
+    prefixes = {"ConfigError": "config error", "IngestionError": "i/o error",
+                "NumericError": "numeric error"}
     for cls in classes:
-        code, prefix = EXIT_CODES[cls]
 
         def fail(*args, cls=cls):
             raise cls("boom")
 
         monkeypatch.setattr(cli, "run_verify", fail)
-        assert main(["--out", str(tmp_path), "verify"]) == code
-        assert capsys.readouterr().err == f"{prefix}: boom\n"
+        assert main(["--out", str(tmp_path), "verify"]) == cls.exit_code
+        assert capsys.readouterr().err == f"{prefixes.get(cls.__name__, 'error')}: boom\n"
     internal = ("InvariantError", "LayoutError", "ShapeError", "ProtocolError",
                 "TableLookupError", "ReportError")
     constraint = ("ConfigError", "DomainError", "PlanError", "ConstraintError")
     for name in internal:
-        assert EXIT_CODES[getattr(errors, name)][0] == EXIT_ERROR, name
+        assert getattr(errors, name).exit_code == EXIT_ERROR, name
     for name in constraint:
-        assert EXIT_CODES[getattr(errors, name)][0] == EXIT_CONFIG, name
+        assert getattr(errors, name).exit_code == EXIT_CONFIG, name
 
 
 def test_out_of_memory_is_a_named_error(tmp_path, monkeypatch, capsys):
