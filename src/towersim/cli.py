@@ -647,9 +647,9 @@ def _is_number(field: str) -> bool:
 
 
 def _bad_row(data: np.ndarray) -> Optional[int]:
-    """Index of the first row holding a NaN or an infinity, or of zero norm
-    (which the partitioner cannot normalise), or None."""
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | (np.linalg.norm(data, axis=1) == 0))
+    """Index of the first row holding a NaN or an infinity, or of only zeros
+    (a zero norm, which the partitioner cannot normalise), or None."""
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | ~data.any(axis=1))
     return int(bad[0]) if bad.size else None
 
 
