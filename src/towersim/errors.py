@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, the CLI's exit codes, and
 the one field-minimum check. Each class states the exit code and stderr
 prefix with which cli.main reports it: input-constraint errors exit as
-config errors, the rest as the base class does.
+config errors, internal-invariant errors as the base class does (1).
 """
 
 EXIT_OK = 0
