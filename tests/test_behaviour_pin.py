@@ -13,6 +13,11 @@ configs whose digest moved. The commands are:
   (swap_bc, omit_permute, rowwise_reducescatter: FFF, TFT, FTF, TTT) x
   tower module passthrough, dlrm and dcn (out_dim 2); every other field
   keeps its default;
+- a float slice of that matrix, each config named with a ``/float`` part:
+  tables of random float values (``tables.integer_values: false``) on the
+  2x2 and 4x2h2 topologies, row_wise and column_wise sharding, hotness
+  [0, 3], switches FFF and TTT and tower module passthrough and dcn, run
+  through the same two commands (32 digests);
 - the three benchmark workloads of ``perfbench/workload.py`` at smoke size,
   at seeds 1 and 2, partition on that file's ``planted_embeddings``;
 - ``partition`` on a raw little-endian f32 copy of ``planted_embeddings(1,
@@ -61,6 +66,9 @@ SHARDS = {"table_wise": 1, "column_wise": 2, "row_wise": 2}
 HOTNESS = {"hot1": 1, "hot0-3": [0, 3]}
 SWITCHES = ("FFF", "TFT", "FTF", "TTT")
 TOWER_MODULES = ("passthrough", "dlrm", "dcn")
+FLOAT_SLICE = ({t: TOPOLOGIES[t] for t in ("2x2", "4x2h2")},
+               {s: SHARDS[s] for s in ("row_wise", "column_wise")},
+               {"hot0-3": HOTNESS["hot0-3"]}, ("FFF", "TTT"), ("passthrough", "dcn"))
 COMMANDS = {"verify": ("verify",), "cost": ("cost", "--sweep", "batch.local_size=1,3")}
 WORKLOAD_SEEDS = (1, 2)
 ASSIGNMENT = "0\t1\n1\t0\n2\t0\n3\t1\n"  # contiguous is 0 0 1 1, strided 0 1 0 1
@@ -70,17 +78,17 @@ def versions() -> str:
     return f"python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}"
 
 
-def matrix():
-    """(name, config) of each of the 432 matrix configs."""
-    for topo, scheme, hot, switches, kind in itertools.product(
-        TOPOLOGIES, SHARDS, HOTNESS, SWITCHES, TOWER_MODULES
-    ):
-        hosts, ranks, per_tower = TOPOLOGIES[topo]
-        yield f"{topo}/{scheme}/{hot}/{switches}/{kind}", {
+def matrix(axes=(TOPOLOGIES, SHARDS, HOTNESS, SWITCHES, TOWER_MODULES), integer=True):
+    """(name, config) of each config of ``axes``: by default the 432 matrix
+    configs; with ``integer`` false, float tables under a ``/float`` name."""
+    topologies, shards, hotness = axes[:3]
+    for topo, scheme, hot, switches, kind in itertools.product(*axes):
+        hosts, ranks, per_tower = topologies[topo]
+        yield f"{topo}/{scheme}/{hot}/{switches}/{kind}" + ("" if integer else "/float"), {
             "topology": {"num_hosts": hosts, "ranks_per_host": ranks},
             "layout": {"hosts_per_tower": per_tower},
-            "tables": {"sharding": scheme, "shards_per_table": SHARDS[scheme],
-                       "hotness": HOTNESS[hot]},
+            "tables": {"sharding": scheme, "shards_per_table": shards[scheme],
+                       "hotness": hotness[hot], "integer_values": integer},
             "exchange": dict(zip(("swap_bc", "omit_permute", "rowwise_reducescatter"),
                                  (flag == "T" for flag in switches))),
             "tm": {"kind": kind, "out_dim": 2},
@@ -112,7 +120,7 @@ def digest(config: dict, argv: list[str]) -> str:
 def digests() -> dict[str, str]:
     """The digest of every pinned command, by name, in the current directory."""
     out = {}
-    for name, config in matrix():
+    for name, config in itertools.chain(matrix(), matrix(FLOAT_SLICE, integer=False)):
         for command, argv in COMMANDS.items():
             out[f"{name} {command}"] = digest(config, ["--seed", str(SEED), *argv])
     spans = load_file("perfbench_spans", PERFBENCH / "spans.py")
