@@ -15,9 +15,11 @@ concurrent per-class all-to-alls whose world size is the tower count
 tower pipeline reads; the TowerLayout says which hosts form each tower.
 
 Traces label wire steps "a", "c", "d", "f"; steps b and e are local and
-contribute flops only. A message of shard pieces (step a's bags, step c's
-and d's blocks) is a {shard id: payload} dict in placement order, so a
-receiver reads the shards it holds from it; ids travel free (payload_nbytes).
+contribute flops only. Each rank addresses a collective {destination:
+message}, leaving out a destination it has nothing for, and receives
+{source: message}. A message of shard pieces (step a's bags, step c's and
+d's blocks) is a {shard id: payload} dict in placement order, so a receiver
+reads the shards it holds from it; ids travel free (payload_nbytes).
 After step a the tower pipeline runs one tower at a time, steps b to f,
 and one owner at a time inside a tower until step d's collectives, which
 are the first to join an owner's shards to another's. Each tower's output
@@ -207,14 +209,14 @@ def _reduce_scattered(
 
 def _distribute(
     batch: SparseBatch, placement: ShardedEmbedding, topo: ClusterTopology, trace: CommTrace
-) -> dict[int, list[dict]]:
+) -> dict[int, dict[int, dict]]:
     """Step a, shared by both pipelines: received[owner][src] is {shard id:
     bags}, src's bags of every shard of a batch feature that owner holds, in
-    placement order; {} for an owner of none."""
+    placement order. An owner of none is sent nothing."""
     world = list(range(topo.world_size))
-    held: dict[int, list[tuple]] = {o: [] for o in world}
+    held: dict[int, list[tuple]] = {}
     for sid, shard in _batch_shards(batch, placement):
-        held[shard.rank].append((sid, shard.table_id))
+        held.setdefault(shard.rank, []).append((sid, shard.table_id))
 
     feats = batch.features
     for f in feats:
@@ -224,24 +226,26 @@ def _distribute(
     sends = {}
     for src in world:
         views = {f: batch.rank_bags(src, f) for f in feats}
-        sends[src] = [{sid: views[f] for sid, f in held[owner]} for owner in world]
+        sends[src] = {owner: {sid: views[f] for sid, f in shards}
+                      for owner, shards in held.items()}
     return all_to_all(world, sends, "a", trace)
 
 
 def _lookup(
     batch: SparseBatch,
     placement: ShardedEmbedding,
-    from_sources: list[dict],
+    from_sources: dict[int, dict],
     source_seq: Sequence[int],
 ) -> tuple[dict[int, list[np.ndarray]], float]:
     """Step b for one owner: (blocks, flops) of the shards its step-a
     messages ``from_sources`` name, in the messages' placement order, each
     looked up once over the bags every source in ``source_seq`` sent for it.
     blocks[shard id] lists one (batch, width) array per source, in that order.
+    Every source names the same shards; an owner of none hears from none.
     """
     size = batch.local_batch
     blocks, work = {}, 0.0
-    for sid in from_sources[0]:
+    for sid in next(iter(from_sources.values()), ()):
         shard = placement.shards[sid]
         bags = Bags.concat([from_sources[src][sid] for src in source_seq])
         mat, flops = _shard_lookup(placement, shard, bags, batch.pooling[shard.table_id])
@@ -280,13 +284,14 @@ def baseline_exchange(
     sends, work = {}, []
     for owner in world:
         blocks, flops = _lookup(batch, placement, received.pop(owner), world)
-        sends[owner] = [{sid: mats[dest] for sid, mats in blocks.items()} for dest in world]
+        sends[owner] = {dest: {sid: mats[dest] for sid, mats in blocks.items()}
+                        for dest in world} if blocks else {}
         work.append(flops)
     received = all_to_all(world, sends, "c", trace)
 
     outputs = {}
     for rank in world:
-        assembled = _assemble(received[rank], placement)
+        assembled = _assemble(received[rank].values(), placement)
         outputs[rank] = np.concatenate([assembled[f] for f in batch.features], axis=1)
     flops = {"b": max(work)}
     return check_plan("baseline", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
@@ -367,26 +372,27 @@ def tower_exchange(
             # Kept until step d's all-to-all: freed owner by owner, the
             # lookups doubled the minor page faults at world 512.
             lookups.append(blocks)
-            sends[owner] = bundles = [{} for _ in members]
+            sends[owner] = bundles = {}
             for sid, mats in blocks.items():
                 if permute:
                     mats = [mats[p] for p in dest_seq]
                 stacks = [np.concatenate([mats[position[p]] for p in ranks])
                           for ranks in members]
                 partial = contributions.get(placement.shards[sid].table_id)
-                if partial is None:
-                    for bundle, stack in zip(bundles, stacks):
-                        bundle[sid] = stack
+                if partial is None:  # class c's stack goes to the tower's rank c
+                    for member, stack in zip(group, stacks):
+                        bundles.setdefault(member, {})[sid] = stack
                 else:  # an owner's row shards pre-sum in shard order
                     held = partial.get(owner)
-                    partial[owner] = stacks if held is None else list(map(np.add, held, stacks))
+                    partial[owner] = dict(zip(group, stacks if held is None
+                                              else map(np.add, held.values(), stacks)))
 
         # Step d: one all-to-all per tower assembling full-width embeddings
         # for each destination class on that class's local rank, then one
         # reduce-scatter per reduce-scattered feature.
         received_d = all_to_all(group, sends, "d", trace)
         del sends, lookups
-        assembled = {m: _assemble(received_d.pop(m), placement) for m in group}
+        assembled = {m: _assemble(received_d.pop(m).values(), placement) for m in group}
         for feat, partial in contributions.items():
             summed = reduce_scatter(group, partial, "d", trace)
             for member in group:
@@ -414,13 +420,13 @@ def tower_exchange(
         del assembled
 
         # Step f: in each class, the tower's member (its local rank cls)
-        # sends every member its block, which arrives at the tower's position.
+        # sends every member its block; the other members send nothing.
         chunks: dict[int, np.ndarray] = {}
         for cls, sender in enumerate(group):
-            sends = dict.fromkeys(members[cls], [None] * num_towers)
-            sends[sender] = dest_blocks.pop(sender)
+            sends = dict.fromkeys(members[cls], {})
+            sends[sender] = dict(zip(members[cls], dest_blocks.pop(sender)))
             for member, payloads in all_to_all(members[cls], sends, "f", delivery).items():
-                chunks[member] = payloads[tower]
+                chunks[member] = payloads[sender]
             f_bytes[cls] += delivery.collectives.pop().nbytes
         # The plan's blocks of this tower: its features', or its module's.
         idents = feats if cfg is None else [tower]
@@ -437,14 +443,9 @@ def tower_exchange(
 
 
 def _record(trace: CommTrace, label: str, group: Sequence[int], nbytes: np.ndarray,
-            present: Optional[np.ndarray] = None) -> None:
-    """Append a planned collective: a reduce-scatter when ``present`` is given,
-    else an all-to-all, whose messages are all present."""
-    if present is None:
-        kind, present = ALL_TO_ALL, np.ones(nbytes.shape, dtype=bool)
-    else:
-        kind = REDUCE_SCATTER
-    trace.collectives.append(Collective(label, kind, tuple(group), nbytes, present))
+            kind: str = ALL_TO_ALL) -> None:
+    """Append a planned collective."""
+    trace.collectives.append(Collective(label, kind, tuple(group), nbytes))
 
 
 def _same_to_every_member(sent: np.ndarray) -> np.ndarray:
@@ -562,9 +563,8 @@ def tower_plan(
         for feat in feats:
             if feat in rs_shards:
                 owners = {placement.shards[sid].rank for sid in rs_shards[feat]}
-                present = _same_to_every_member(np.array([m in owners for m in group]))
-                nbytes = row_bytes * placement.tables[feat].dim * present.astype(np.int64)
-                _record(trace, "d", group, nbytes, present)
+                sent = row_bytes * placement.tables[feat].dim * np.isin(group, list(owners))
+                _record(trace, "d", group, _same_to_every_member(sent), REDUCE_SCATTER)
         # Step e: the tower's block for each destination is its features'
         # columns, or its tower module's output, one forward per destination.
         dims = {placement.tables[f].dim for f in feats}
@@ -592,11 +592,8 @@ def tower_plan(
 
 
 def _same_collective(a: Collective, b: Collective) -> bool:
-    return (
-        (a.label, a.kind, a.group) == (b.label, b.kind, b.group)
-        and np.array_equal(a.nbytes, b.nbytes)
-        and np.array_equal(a.present, b.present)
-    )
+    same_header = (a.label, a.kind, a.group) == (b.label, b.kind, b.group)
+    return same_header and np.array_equal(a.nbytes, b.nbytes)
 
 
 def check_plan(pipeline: str, result: ExchangeResult, planned: ExchangeResult) -> ExchangeResult:

@@ -1,9 +1,11 @@
 """Deterministic in-memory message passing over ranks with byte accounting.
 
 Collectives here are functional: they move payloads and log traffic, they do
-not model time. Each collective appends one record to its trace, holding
-the bytes each group member sent each other member; everything else about
-the traffic is derived from those records. Byte accounting uses a fixed
+not model time. Each sender gives a collective a {destination: payload}
+dict and each receiver gets {source: payload}, so a pair with nothing to
+send is never built. Each collective appends one record to its trace, the
+bytes each group member sent each other member; everything else about the
+traffic is derived from those records. Byte accounting uses a fixed
 4-byte element width (single-precision wire format) regardless of the
 in-memory dtype.
 """
@@ -56,25 +58,24 @@ class Message(NamedTuple):  # one line of trace.log
 class Collective(NamedTuple):
     """One collective over ``group``.
 
-    ``nbytes[i, j]`` is what ``group[i]`` sent ``group[j]``, and
-    ``present[i, j]`` whether that message exists: a reduce-scatter
-    contribution that was never supplied is absent, every all-to-all message
-    is present. ``kind`` fixes the message order: sources outer for an
-    all-to-all, destinations outer for a reduce-scatter.
+    ``nbytes[i, j]`` is what ``group[i]`` sent ``group[j]``. Every pair of
+    an all-to-all is a message, one its sender left out being 0 bytes; a
+    reduce-scatter's messages are its nonzero entries, since it takes no
+    empty contribution. ``kind`` fixes the message order: sources outer for
+    an all-to-all, destinations outer for a reduce-scatter.
     """
 
     label: str
     kind: str
     group: tuple[int, ...]
     nbytes: np.ndarray
-    present: np.ndarray
 
     def columns(self, topo: ClusterTopology) -> tuple[list, list, list, list]:
         """Source, destination, bytes and link of each message, in order."""
         if self.kind == REDUCE_SCATTER:
-            dst, src = np.nonzero(self.present.T)
+            dst, src = np.nonzero(self.nbytes.T)
         else:
-            src, dst = np.nonzero(self.present)
+            src, dst = np.indices(self.nbytes.shape).reshape(2, -1)
         group, links = np.array(self.group), link_classes(self.group, topo)
         return (group[src].tolist(), group[dst].tolist(),
                 self.nbytes[src, dst].tolist(), links[src, dst].tolist())
@@ -120,75 +121,71 @@ class CommTrace:
                 )
 
 
-def _check_group(group: Sequence[int], topo: ClusterTopology) -> None:
+def _byte_matrix(group: Sequence[int], sends: dict[int, dict], label: str,
+                 topo: ClusterTopology) -> np.ndarray:
+    """``nbytes[i, j]``: the size of what ``group[i]`` sends ``group[j]``, 0
+    for a pair left out, once the group and every sender and destination in
+    ``sends`` are checked."""
     if len(set(group)) != len(group):
         raise DomainError(f"duplicate rank in group {list(group)}")
     if not group:
         raise DomainError("empty group")
     for rank in group:
         topo.check_rank(rank)
+    position = {rank: i for i, rank in enumerate(group)}
+    nbytes = np.zeros((len(group), len(group)), dtype=np.int64)
+    for src, row in sends.items():
+        if src not in position or not position.keys() >= row.keys():
+            raise ProtocolError(f"rank {src} sends {label!r} outside its group")
+        for dst, payload in row.items():
+            nbytes[position[src], position[dst]] = payload_nbytes(payload)
+    return nbytes
 
 
 def all_to_all(
     group: Sequence[int],
-    sends: dict[int, Sequence],
+    sends: dict[int, dict[int, object]],
     label: str,
     trace: CommTrace,
-) -> dict[int, list]:
+) -> dict[int, dict[int, object]]:
     """Exchange payloads between all group members.
 
-    ``sends[rank]`` lists one payload per destination, in group order. Every
-    member receives one payload per source, in group order. The trace gets
-    one collective holding all |group|^2 message sizes, self included.
+    ``sends[src]`` is ``{destination: payload}``, and every member supplies
+    one; a destination it leaves out gets nothing from it. Every member
+    receives ``{source: payload}``, sources in group order. The trace gets
+    one collective holding all |group|^2 message sizes, self included, a
+    pair left out being 0 bytes.
     """
-    _check_group(group, trace.topo)
+    nbytes = _byte_matrix(group, sends, label, trace.topo)
     for rank in group:
         if rank not in sends:
             raise ProtocolError(f"rank {rank} supplied no payloads for {label!r}")
-        if len(sends[rank]) != len(group):
-            raise ProtocolError(
-                f"rank {rank} supplied {len(sends[rank])} payloads for "
-                f"{label!r}, expected {len(group)}"
-            )
-    nbytes = np.array([[payload_nbytes(p) for p in sends[src]] for src in group])
-    trace.collectives.append(Collective(
-        label, ALL_TO_ALL, tuple(group), nbytes, np.ones(nbytes.shape, dtype=bool)
-    ))
-    # Receivers hold payloads ordered by source position.
-    return {dst: [sends[src][j] for src in group] for j, dst in enumerate(group)}
+    trace.collectives.append(Collective(label, ALL_TO_ALL, tuple(group), nbytes))
+    received: dict[int, dict] = {dst: {} for dst in group}
+    for src in group:
+        for dst, payload in sends[src].items():
+            received[dst][src] = payload
+    return received
 
 
 def reduce_scatter(
     group: Sequence[int],
-    sends: dict[int, Sequence[Optional[np.ndarray]]],
+    sends: dict[int, dict[int, np.ndarray]],
     label: str,
     trace: CommTrace,
 ) -> dict[int, np.ndarray]:
     """Elementwise-sum the shards addressed to each member and deliver them.
 
-    ``sends[rank]`` lists one array (or None) per destination in group order;
-    ranks absent from ``sends`` contribute nothing, and neither contribution
-    is a message. Shards addressed to the same destination must share a
-    shape, and every destination needs at least one contribution. Summation
-    runs in group order so results are reproducible bit for bit.
+    ``sends[src]`` is ``{destination: shard}``; a pair left out, like a rank
+    absent from ``sends``, contributes nothing and is no message. Shards
+    addressed to the same destination must share a shape and hold at least
+    one element, and every destination needs at least one. Summation runs
+    in group order so results are reproducible bit for bit.
     """
-    _check_group(group, trace.topo)
-    size = len(group)
-    for rank, row in sends.items():
-        if rank not in group:
-            raise ProtocolError(f"sender {rank} not in group for {label!r}")
-        if len(row) != size:
-            raise ProtocolError(
-                f"rank {rank} supplied {len(row)} shards for {label!r}, "
-                f"expected {size}"
-            )
-    # shards[i][j]: what group[i] addressed to group[j], None if nothing.
-    shards = [sends.get(src, [None] * size) for src in group]
-    present = np.array([[s is not None for s in row] for row in shards])
-    nbytes = np.array([[payload_nbytes(s) for s in row] for row in shards])
+    nbytes = _byte_matrix(group, sends, label, trace.topo)
     out: dict[int, np.ndarray] = {}
-    for j, dst in enumerate(group):
-        column = [row[j] for row in shards if row[j] is not None]
+    for dst in group:
+        column = [sends[src][dst] for src in group if dst in sends.get(src, ())]
         if not column:
             raise ProtocolError(f"no contribution for destination {dst} in {label!r}")
         total = np.array(column[0], dtype=np.float64, copy=True)
@@ -199,8 +196,8 @@ def reduce_scatter(
                     f"shape {shard.shape}, expected {total.shape}"
                 )
             total = total + shard
+        if not total.size:
+            raise ShapeError(f"reduce_scatter {label!r}: empty shard for dst {dst}")
         out[dst] = total
-    trace.collectives.append(
-        Collective(label, REDUCE_SCATTER, tuple(group), nbytes, present)
-    )
+    trace.collectives.append(Collective(label, REDUCE_SCATTER, tuple(group), nbytes))
     return out

@@ -118,17 +118,16 @@ def test_verify_catches_a_tower_module_salt_off_by_one(tmp_path, monkeypatch, ki
 
 def step_f_delivering(monkeypatch, deliver):
     """Wrap step f's all-to-alls: ``deliver(rank, tower, block)`` gives what
-    ``rank`` receives in ``tower``'s place. In each received list the
-    payload at position t is tower t's block; the other payloads are None."""
+    ``rank`` receives in ``tower``'s place. Each received dict maps a
+    sender to its block; the class's sender at position t is tower t's."""
     all_to_all = exchange.all_to_all
 
     def wrapped(group, sends, label, trace):
         received = all_to_all(group, sends, label, trace)
         if label == "f":
             for rank, payloads in received.items():
-                for tower, block in enumerate(payloads):
-                    if block is not None:
-                        payloads[tower] = deliver(rank, tower, block)
+                for sender, block in payloads.items():
+                    payloads[sender] = deliver(rank, group.index(sender), block)
         return received
 
     monkeypatch.setattr(exchange, "all_to_all", wrapped)
