@@ -26,6 +26,9 @@ _FORBIDDEN = 1e15  # matching penalty that no admissible slot can reach
 
 
 def _normalize_rows(mat: np.ndarray, what: str) -> np.ndarray:
+    # Each row is first divided by the power of two of its largest magnitude:
+    # exact, so rows in range keep their bits, and no square over- or underflows.
+    mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=1, keepdims=True))[1])
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if np.any(norms == 0):
         bad = int(np.argwhere(norms[:, 0] == 0)[0][0])

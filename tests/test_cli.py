@@ -651,6 +651,25 @@ def test_partition_nan_embedding_is_ingestion_error(tmp_path, rng, capsys):
     assert f"{features}:{lineno}: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("big", ["1e200", "1e-200"])
+def test_partition_normalises_a_row_whose_squares_leave_the_float_range(tmp_path, capsys, big):
+    # Squared, 1e200 overflows and 1e-200 underflows; the row still has
+    # direction 1,1 and partitions as that row does.
+    cfg = write_config(tmp_path, {"partitioner": {"num_towers": 2, "steps": 300,
+                                                  "embed_dims": 1}})
+    outputs = []
+    for first in (f"{big},{big}", "1,1"):
+        features = tmp_path / "features.csv"
+        features.write_text(f"{first}\n0.9,0.1\n0.2,0.8\n0.7,0.4\n")
+        out = tmp_path / first
+        code = main(["--config", str(cfg), "--out", str(out),
+                     "partition", "--embeddings", str(features)])
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        assert float((out / "affinity.csv").read_text().split(",")[0]) == 1.0
+        outputs.append((out / "assignment.txt").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_partition_singleton_towers(tmp_path, rng):
     features = blobs_csv(tmp_path, rng, sizes=(1, 1, 1, 1), noise=0.05)
     cfg = write_config(tmp_path, {"partitioner": {"num_towers": 4, "steps": 300}})
