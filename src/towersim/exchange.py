@@ -318,8 +318,8 @@ def tower_exchange(
     blocks, and each rank's (batch, width) block. With a consumer the result
     holds no outputs; without one its outputs are each rank's chunks side by
     side. ``batch`` must be validated, as for baseline_exchange. Starts from
-    tower_plan, returns its blocks and step-e flops, and is checked against
-    it as baseline_exchange is.
+    tower_plan, returns its blocks, and is checked against it as
+    baseline_exchange is.
     """
     planned = tower_plan(batch, placement, layout, topo, opts)
     num_towers = layout.num_towers
@@ -357,7 +357,7 @@ def tower_exchange(
     # what tower t's member sent, and the other members are silent.
     f_bytes = [np.zeros((num_towers, num_towers), dtype=np.int64) for _ in members]
     delivery = CommTrace(topo)
-    work, col = [], 0
+    work, tm_work, col = [], dict.fromkeys(world, 0.0), 0
     for tower, feats in enumerate(tower_features(batch, placement, layout, topo)):
         group = layout.tower_ranks(tower, topo)
 
@@ -400,8 +400,9 @@ def tower_exchange(
         del contributions
 
         # Step e: regroup from (feature, destination) to (destination,
-        # feature) and apply the tower module per destination block. The
-        # plan has checked that the tower's features share one dim.
+        # feature) and apply the tower module per destination block, counting
+        # each rank's flops. The plan has checked that the tower's features
+        # share one dim.
         if cfg is not None:
             in_dim = placement.tables[feats[0]].dim if feats else 1
             weights = init_tm_weights(cfg, len(feats), in_dim, salt=tower)
@@ -417,6 +418,7 @@ def tower_exchange(
                 else:
                     embs = np.stack(mats, axis=1) if mats else np.zeros((batch_size, 0, 1))
                     per_dest.append(tm_forward(embs, cfg, weights))
+                    tm_work[rank] += tm_flops(cfg, *embs.shape[1:], batch_size)
         del assembled
 
         # Step f: in each class, the tower's member (its local rank cls)
@@ -438,7 +440,7 @@ def tower_exchange(
     # Step f's concurrent per-class all-to-alls, world size = tower count.
     for cls, group in enumerate(members):
         _record(trace, "f", group, f_bytes[cls])
-    flops = {"b": max(work), "e": planned.flops["e"]}
+    flops = {"b": max(work), "e": max(tm_work.values())}
     return check_plan("tower", ExchangeResult(outputs, planned.blocks, trace, flops), planned)
 
 

@@ -522,26 +522,39 @@ def test_check_plan_names_the_first_differing_collective():
         check_plan("tower", result, planned)
 
 
-@pytest.mark.parametrize("pipeline, label", [("baseline", "c"), ("tower", "d")])
-def test_a_direct_run_checks_itself_against_its_plan(monkeypatch, pipeline, label):
+def collective_1_off(planned):
+    one = planned.trace.collectives[1]
+    planned.trace.collectives[1] = one._replace(nbytes=one.nbytes + 4)
+
+
+def step_e_flops_off(planned):
+    planned.flops["e"] += 1
+
+
+@pytest.mark.parametrize("pipeline, tm, corrupt, match", [
+    ("baseline", None, collective_1_off, "collective 1 \\(label 'c'\\) differs from its plan$"),
+    ("tower", None, collective_1_off, "collective 1 \\(label 'd'\\) differs from its plan$"),
+    ("tower", "dcn", step_e_flops_off, "flops .* differ from its plan's"),
+], ids=["baseline-c", "tower-d", "tower-dcn-e-flops"])
+def test_a_direct_run_checks_itself_against_its_plan(monkeypatch, pipeline, tm, corrupt, match):
     # Called as a library, with no CLI around it, a run whose plan differs
-    # from it in one collective raises, naming the pipeline and that collective.
+    # from it in one collective, or in the tower modules' flops that the run
+    # counts, raises, naming the pipeline and what differs.
     topo, layout, tables, batch, placement = build_run(num_hosts=2, ranks_per_host=2)
+    opts = ExchangeOptions(tower_modules=tm and TMConfig(kind=tm, out_dim=2))
     planner = getattr(exchange, f"{pipeline}_plan")
 
     def corrupted(*args):
         planned = planner(*args)
-        one = planned.trace.collectives[1]
-        planned.trace.collectives[1] = one._replace(nbytes=one.nbytes + 4)
+        corrupt(planned)
         return planned
 
     monkeypatch.setattr(exchange, f"{pipeline}_plan", corrupted)
     runs = {
         "baseline": lambda: baseline_exchange(batch, placement, topo),
-        "tower": lambda: tower_exchange(batch, placement, layout, topo),
+        "tower": lambda: tower_exchange(batch, placement, layout, topo, opts),
     }
-    match = f"^{pipeline} pipeline: collective 1 \\(label '{label}'\\) differs from its plan$"
-    with pytest.raises(InvariantError, match=match):
+    with pytest.raises(InvariantError, match=f"^{pipeline} pipeline: {match}"):
         runs[pipeline]()
 
 
