@@ -565,7 +565,8 @@ def tower_plan(
         for feat in feats:
             if feat in rs_shards:
                 owners = {placement.shards[sid].rank for sid in rs_shards[feat]}
-                sent = row_bytes * placement.tables[feat].dim * np.isin(group, list(owners))
+                sent = row_bytes * placement.tables[feat].dim * np.array(
+                    [m in owners for m in group])
                 _record(trace, "d", group, _same_to_every_member(sent), REDUCE_SCATTER)
         # Step e: the tower's block for each destination is its features'
         # columns, or its tower module's output, one forward per destination.

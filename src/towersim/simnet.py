@@ -150,11 +150,10 @@ def all_to_all(
 ) -> dict[int, dict[int, object]]:
     """Exchange payloads between all group members.
 
-    ``sends[src]`` is ``{destination: payload}``, and every member supplies
-    one; a destination it leaves out gets nothing from it. Every member
-    receives ``{source: payload}``, sources in group order. The trace gets
-    one collective holding all |group|^2 message sizes, self included, a
-    pair left out being 0 bytes.
+    ``sends[src]`` is ``{destination: payload}``; every member supplies one,
+    leaving out what it has nothing for. Each member receives ``{source:
+    payload}``, sources in group order. The trace gets one collective of all
+    |group|^2 message sizes, self included, a pair left out being 0 bytes.
     """
     nbytes = _byte_matrix(group, sends, label, trace.topo)
     for rank in group:
